@@ -39,7 +39,6 @@ from .oracle import (
     oracle_metrics,
     steady_state,
     truncation_for_mean_tol,
-    write_pi_csv,
 )
 from .simulate import (
     ReplicationStats,
@@ -103,5 +102,4 @@ __all__ = [
     "steady_state",
     "transition_distribution",
     "truncation_for_mean_tol",
-    "write_pi_csv",
 ]

@@ -13,22 +13,9 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
-from .analytics import OutageConvention
-from .sweeps import EXPERIMENTS, METHODS, RUNNERS, load_config, make_spec
-
-
-def _csv_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(s) for s in raw.split(",") if s.strip())
-
-
-def _csv_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in raw.split(",") if s.strip())
-
-
-def _csv_strs(raw: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in raw.split(",") if s.strip())
+from .sweeps import EXPERIMENTS, RUNNERS, SETTINGS, load_config, make_spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,75 +33,17 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in EXPERIMENTS:
         cmd = sub.add_parser(kind, help=help_by_kind[kind])
         cmd.add_argument("--config", help="INI or JSON settings file")
-        cmd.add_argument("--out", help=f"output CSV path (default {kind}.csv)")
-        cmd.add_argument("--seed", type=int, help="base seed for all Monte Carlo legs")
-        cmd.add_argument(
-            "--convention",
-            choices=[c.value for c in OutageConvention],
-            help="outage threshold convention",
-        )
-        cmd.add_argument(
-            "--methods",
-            type=_csv_strs,
-            help=f"comma list from {', '.join(METHODS)}",
-        )
-        cmd.add_argument("--workers", type=int, help="thread pool size for parameter points")
-        cmd.add_argument("--p", type=_csv_floats, help="comma list of p values")
-        cmd.add_argument("--q", type=_csv_floats, help="comma list of q values")
-        cmd.add_argument("--ptx", type=_csv_floats, help="comma list of p_tx values")
-        cmd.add_argument("--eta", type=_csv_ints, help="comma list of thresholds")
-        cmd.add_argument("--horizon", type=int, help="slots per replication")
-        cmd.add_argument("--burn-in", type=int, dest="burn_in", help="slots discarded per replication")
-        cmd.add_argument("--replications", type=int, help="Monte Carlo replications per point")
-        cmd.add_argument("--truncation", type=int, help="oracle truncation age")
-        cmd.add_argument("--tol-mean", type=float, dest="tol_mean", help="closed-vs-oracle mean tolerance")
-        cmd.add_argument("--tol-prob", type=float, dest="tol_prob", help="closed-vs-oracle probability tolerance")
-        cmd.add_argument(
-            "--mc-coverage", type=float, dest="mc_coverage_min",
-            help="required fraction of CI-covered points",
-        )
-        if kind == "fig1":
-            cmd.add_argument("--ratio", type=_csv_floats, help="comma list of p/q ratios")
-        if kind == "fig2":
-            cmd.add_argument("--p-fixed", type=float, dest="p_fixed", help="the fixed p of the sweep")
-        if kind == "optimize":
-            cmd.add_argument("--step", type=float, dest="optimize_step", help="grid-search step")
+        for setting in SETTINGS:
+            cmd.add_argument(setting.flag, dest=setting.field, type=setting.parse, help=setting.help)
     return parser
-
-
-_SPEC_FIELDS = (
-    "out_path", "seed", "convention", "methods", "workers",
-    "p_values", "q_values", "ptx_values", "ratio_values", "eta_values",
-    "p_fixed", "horizon", "burn_in", "replications", "truncation",
-    "tol_mean", "tol_prob", "mc_coverage_min", "optimize_step",
-)
-
-_ARG_TO_FIELD = {
-    "out": "out_path",
-    "p": "p_values",
-    "q": "q_values",
-    "ptx": "ptx_values",
-    "ratio": "ratio_values",
-    "eta": "eta_values",
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    overrides: dict[str, Any] = {}
-    for arg_name, value in vars(args).items():
-        if arg_name in ("experiment", "config") or value is None:
-            continue
-        field = _ARG_TO_FIELD.get(arg_name, arg_name)
-        if field not in _SPEC_FIELDS:
-            continue
-        if field == "convention":
-            value = OutageConvention.from_label(value)
-        overrides[field] = value
     try:
         config = load_config(args.config) if args.config else {}
-        spec = make_spec(args.experiment, config, **overrides)
+        spec = make_spec(args.experiment, config, **{s.field: getattr(args, s.field) for s in SETTINGS})
         if spec.out_path is None:
             spec = replace(spec, out_path=f"{args.experiment}.csv")
         result = RUNNERS[spec.experiment](spec)

@@ -15,7 +15,6 @@ two routes is evidence, not circularity.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -323,15 +322,3 @@ def oracle_metrics(
         mean_error_bound=mean_bound,
         outage_error_bound=out_bound,
     )
-
-
-def write_pi_csv(state: SteadyState, path: str) -> None:
-    """Dump the converged distribution as rows (i, j, probability)."""
-    n = state.chain.truncation
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "j", "probability"])
-        for i in range(1, n + 1):
-            row = state.pi[i - 1]
-            for j in range(1, n + 1):
-                writer.writerow([i, j, f"{row[j - 1]:.9g}"])

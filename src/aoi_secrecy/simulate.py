@@ -90,11 +90,6 @@ class ReplicationStats:
         above = self.gap_hist[k + 1 :].sum() if k + 1 < len(self.gap_hist) else 0
         return float(self.slots_observed - above) / self.slots_observed
 
-    def gap_frequency(self, d: int) -> float:
-        if d < len(self.gap_hist):
-            return float(self.gap_hist[d]) / self.slots_observed
-        return 0.0
-
 
 @dataclass(frozen=True)
 class SimEstimate:

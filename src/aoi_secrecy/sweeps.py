@@ -44,8 +44,36 @@ from .simulate import (
 log = logging.getLogger("aoi_secrecy.sweeps")
 
 METHODS = ("closed_form", "oracle", "monte_carlo")
-EXPERIMENTS = ("fig1", "fig2", "compare", "optimize")
 DEFAULT_SEED = 20260816
+
+# experiment -> its built-in settings: grids spanning the usual plotting
+# ranges, plus any other setting that differs from the SweepSpec default.
+# The grids listed are the ones the experiment reads; each must be nonempty.
+_EXPERIMENTS: dict[str, dict[str, Any]] = {
+    "fig1": {
+        "q_values": (0.1, 0.2, 0.3),
+        "ptx_values": (0.5, 1.0),
+        "ratio_values": tuple(float(r) for r in range(1, 9)),
+    },
+    "fig2": {
+        "q_values": (0.2, 0.4),
+        "eta_values": (5, 10),
+        "ptx_values": tuple(round(0.05 * k, 2) for k in range(1, 21)),
+    },
+    "compare": {
+        "methods": METHODS,
+        "p_values": (0.3, 0.8),
+        "q_values": (0.2, 0.5),
+        "ptx_values": (0.5, 1.0),
+        "eta_values": (5,),
+    },
+    "optimize": {
+        "q_values": (0.1, 0.2, 0.3, 0.5),
+        "eta_values": (2, 4, 5, 8),
+        "p_values": (0.3, 0.8),
+    },
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 @dataclass(frozen=True)
@@ -75,8 +103,9 @@ class SweepSpec:
     tol_prob: float = 1e-9
     # fraction of points whose 95% CI must cover the reference: a genuine
     # formula error drives coverage to ~0 at these horizons, while a correct
-    # implementation misses ~5% of points by CI chance, so 0.75 keeps full
-    # detection power with a negligible false-alarm rate on small grids
+    # implementation misses ~5% of points by CI chance. On a 4-point grid
+    # with few replications the false-alarm rate is not negligible:
+    # configs/compare_quick.ini covers only 2/4 points at seeds 9 and 12.
     mc_coverage_min: float = 0.75
     optimize_step: float = 1e-3
     workers: int = 1
@@ -104,113 +133,105 @@ class SweepSpec:
             raise ValueError("workers must be >= 1")
         if self.optimize_step <= 0.0 or self.optimize_step > 0.5:
             raise ValueError("optimize_step out of range")
-        needed = {
-            "fig1": ("q_values", "ptx_values", "ratio_values"),
-            "fig2": ("q_values", "eta_values", "ptx_values"),
-            "compare": ("p_values", "q_values", "ptx_values", "eta_values"),
-            "optimize": ("q_values", "eta_values", "p_values"),
-        }[self.experiment]
-        for name in needed:
-            if not getattr(self, name):
+        for name in _EXPERIMENTS[self.experiment]:
+            if name.endswith("_values") and not getattr(self, name):
                 raise ValueError(f"{self.experiment} needs a nonempty {name} grid")
 
 
 def default_spec(experiment: str) -> SweepSpec:
     """Built-in grids spanning the usual plotting ranges."""
-    if experiment == "fig1":
-        return SweepSpec(
-            experiment="fig1",
-            methods=("closed_form",),
-            q_values=(0.1, 0.2, 0.3),
-            ptx_values=(0.5, 1.0),
-            ratio_values=tuple(float(r) for r in range(1, 9)),
-        )
-    if experiment == "fig2":
-        return SweepSpec(
-            experiment="fig2",
-            methods=("closed_form",),
-            q_values=(0.2, 0.4),
-            eta_values=(5, 10),
-            ptx_values=tuple(round(0.05 * k, 2) for k in range(1, 21)),
-            p_fixed=0.8,
-        )
-    if experiment == "compare":
-        return SweepSpec(
-            experiment="compare",
-            methods=METHODS,
-            p_values=(0.3, 0.8),
-            q_values=(0.2, 0.5),
-            ptx_values=(0.5, 1.0),
-            eta_values=(5,),
-        )
-    if experiment == "optimize":
-        return SweepSpec(
-            experiment="optimize",
-            methods=("closed_form",),
-            q_values=(0.1, 0.2, 0.3, 0.5),
-            eta_values=(2, 4, 5, 8),
-            p_values=(0.3, 0.8),
-        )
-    raise ValueError(f"unknown experiment {experiment!r}")
+    return SweepSpec(experiment=experiment, **_EXPERIMENTS.get(experiment, {}))
 
 
 # ---------------------------------------------------------------------------
-# config files
+# settings: one table feeds the config file and the command-line flags
 
-def _as_float_list(raw: Any) -> tuple[float, ...]:
+def _items(raw: Any) -> list[Any]:
+    """A list setting: a comma-separated string (INI, flags) or a JSON list."""
     if isinstance(raw, str):
-        parts = [s for s in (t.strip() for t in raw.split(",")) if s]
-        return tuple(float(s) for s in parts)
-    return tuple(float(v) for v in raw)
+        return [s for s in (t.strip() for t in raw.split(",")) if s]
+    if isinstance(raw, list):
+        return raw
+    raise ValueError(f"expected a list or a comma-separated string, got {raw!r}")
 
 
-def _as_int_list(raw: Any) -> tuple[int, ...]:
+def _int(raw: Any) -> int:
+    """Strings may carry a base prefix (0x10); booleans and non-integral
+    numbers are rejected rather than truncated."""
     if isinstance(raw, str):
-        parts = [s for s in (t.strip() for t in raw.split(",")) if s]
-        return tuple(int(s) for s in parts)
-    return tuple(int(v) for v in raw)
+        return int(raw, 0)
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise ValueError(f"expected an integer, got {raw!r}")
 
 
-def _as_str_list(raw: Any) -> tuple[str, ...]:
-    if isinstance(raw, str):
-        return tuple(s for s in (t.strip() for t in raw.split(",")) if s)
-    return tuple(str(v) for v in raw)
+def _floats(raw: Any) -> tuple[float, ...]:
+    return tuple(float(v) for v in _items(raw))
 
 
-def _as_int(raw: Any) -> int:
-    return int(str(raw), 0) if isinstance(raw, str) else int(raw)
+def _ints(raw: Any) -> tuple[int, ...]:
+    return tuple(_int(v) for v in _items(raw))
 
 
-# (section, key) in a config file -> (SweepSpec field, parser)
-_CONFIG_MAP: dict[tuple[str, str], tuple[str, Callable[[Any], Any]]] = {
-    ("experiment", "methods"): ("methods", _as_str_list),
-    ("experiment", "convention"): ("convention", lambda v: OutageConvention.from_label(str(v))),
-    ("experiment", "seed"): ("seed", _as_int),
-    ("experiment", "out"): ("out_path", str),
-    ("grid", "p"): ("p_values", _as_float_list),
-    ("grid", "q"): ("q_values", _as_float_list),
-    ("grid", "ptx"): ("ptx_values", _as_float_list),
-    ("grid", "ratio"): ("ratio_values", _as_float_list),
-    ("grid", "eta"): ("eta_values", _as_int_list),
-    ("fig2", "p_fixed"): ("p_fixed", float),
-    ("sim", "horizon"): ("horizon", _as_int),
-    ("sim", "burn_in"): ("burn_in", _as_int),
-    ("sim", "replications"): ("replications", _as_int),
-    ("sim", "workers"): ("workers", _as_int),
-    ("oracle", "truncation"): ("truncation", _as_int),
-    ("oracle", "max_truncation"): ("max_truncation", _as_int),
-    ("oracle", "tol"): ("oracle_tol", float),
-    ("tolerances", "mean"): ("tol_mean", float),
-    ("tolerances", "prob"): ("tol_prob", float),
-    ("tolerances", "mc_coverage"): ("mc_coverage_min", float),
-    ("tolerances", "optimize_step"): ("optimize_step", float),
-}
+def _strs(raw: Any) -> tuple[str, ...]:
+    return tuple(str(v) for v in _items(raw))
+
+
+def _convention(raw: Any) -> OutageConvention:
+    return OutageConvention.from_label(str(raw))
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One SweepSpec field, set by `key` in config section `section` or by
+    `flag` on every subcommand; both go through `parse`."""
+
+    field: str
+    section: str
+    key: str
+    flag: str
+    parse: Callable[[Any], Any]
+    help: str
+
+
+SETTINGS: tuple[Setting, ...] = (
+    Setting("methods", "experiment", "methods", "--methods", _strs, f"comma list from {', '.join(METHODS)}"),
+    Setting("convention", "experiment", "convention", "--convention", _convention,
+            "outage threshold convention: strict or paper"),
+    Setting("seed", "experiment", "seed", "--seed", _int, "base seed for all Monte Carlo legs"),
+    Setting("out_path", "experiment", "out", "--out", str, "output CSV path (default <experiment>.csv)"),
+    Setting("p_values", "grid", "p", "--p", _floats, "comma list of p values"),
+    Setting("q_values", "grid", "q", "--q", _floats, "comma list of q values"),
+    Setting("ptx_values", "grid", "ptx", "--ptx", _floats, "comma list of p_tx values"),
+    Setting("ratio_values", "grid", "ratio", "--ratio", _floats, "comma list of p/q ratios"),
+    Setting("eta_values", "grid", "eta", "--eta", _ints, "comma list of thresholds"),
+    Setting("p_fixed", "fig2", "p_fixed", "--p-fixed", float, "the fixed p of the fig2 sweep"),
+    Setting("horizon", "sim", "horizon", "--horizon", _int, "slots per replication"),
+    Setting("burn_in", "sim", "burn_in", "--burn-in", _int, "slots discarded per replication"),
+    Setting("replications", "sim", "replications", "--replications", _int,
+            "Monte Carlo replications per point"),
+    Setting("workers", "sim", "workers", "--workers", _int, "thread pool size for parameter points"),
+    Setting("truncation", "oracle", "truncation", "--truncation", _int, "oracle truncation age"),
+    Setting("max_truncation", "oracle", "max_truncation", "--max-truncation", _int,
+            "largest truncation the compare oracle may adapt to"),
+    Setting("oracle_tol", "oracle", "tol", "--oracle-tol", float, "oracle power-iteration tolerance"),
+    Setting("tol_mean", "tolerances", "mean", "--tol-mean", float, "closed-vs-oracle mean tolerance"),
+    Setting("tol_prob", "tolerances", "prob", "--tol-prob", float, "closed-vs-oracle probability tolerance"),
+    Setting("mc_coverage_min", "tolerances", "mc_coverage", "--mc-coverage", float,
+            "required fraction of CI-covered points"),
+    Setting("optimize_step", "tolerances", "optimize_step", "--step", float, "optimize grid-search step"),
+)
+_BY_CONFIG_KEY = {(s.section, s.key): s for s in SETTINGS}
 
 
 def load_config(path: str) -> dict[str, Any]:
     """Read key = value sections (or the JSON equivalent) into SweepSpec
-    field overrides. Unknown keys are rejected so typos cannot pass silently."""
-    text = open(path).read()
+    field overrides. Unknown keys and malformed values are rejected with
+    ValueError so typos cannot pass silently."""
+    with open(path) as handle:
+        text = handle.read()
     sections: dict[str, dict[str, Any]]
     if path.endswith(".json") or text.lstrip().startswith("{"):
         sections = json.loads(text)
@@ -218,21 +239,26 @@ def load_config(path: str) -> dict[str, Any]:
             raise ValueError("config JSON must be an object of sections")
     else:
         parser = configparser.ConfigParser()
-        parser.read_string(text)
+        try:
+            parser.read_string(text)
+        except configparser.Error as err:
+            raise ValueError(f"config {path}: {err}") from None
         sections = {name: dict(parser[name]) for name in parser.sections()}
     overrides: dict[str, Any] = {}
     for section, body in sections.items():
         if not isinstance(body, dict):
             raise ValueError(f"config section {section!r} must hold key/value pairs")
         for key, raw in body.items():
-            if section == "experiment" and key == "kind":
+            if (section, key) == ("experiment", "kind"):
                 overrides["experiment"] = str(raw)
                 continue
+            setting = _BY_CONFIG_KEY.get((section, key))
+            if setting is None:
+                raise ValueError(f"unknown config entry [{section}] {key}")
             try:
-                field_name, parse = _CONFIG_MAP[(section, key)]
-            except KeyError:
-                raise ValueError(f"unknown config entry [{section}] {key}") from None
-            overrides[field_name] = parse(raw)
+                overrides[setting.field] = setting.parse(raw)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"config entry [{section}] {key}: {err}") from None
     return overrides
 
 
@@ -244,7 +270,9 @@ def make_spec(experiment: str, config: dict[str, Any] | None = None, **cli_overr
     for key, value in cli_overrides.items():
         if value is not None:
             merged[key] = value
-    merged.pop("experiment", None)
+    kind = merged.pop("experiment", experiment)
+    if kind != experiment:
+        raise ValueError(f"config is for experiment {kind!r}, not {experiment!r}")
     raw_methods = merged.get("methods")
     if raw_methods is not None:
         raw_methods = tuple(raw_methods)
@@ -308,9 +336,30 @@ def _maybe_write(spec: SweepSpec, result: SweepResult) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# method legs
+# method legs: one function per name in METHODS, one record per point
 
-def _oracle_solution(params: ChannelParams, policy: Policy, spec: SweepSpec, adaptive: bool):
+@dataclass(frozen=True)
+class Leg:
+    """One method's numbers at one point. Outages are None without a
+    threshold; Monte Carlo fills the half-widths, the oracle its truncation
+    and outage error bound."""
+
+    mean: float
+    outage: Optional[float] = None
+    mean_halfwidth: Optional[float] = None
+    outage_halfwidth: Optional[float] = None
+    outage_bound: float = 0.0
+    truncation: Optional[int] = None
+
+
+def _closed_form_leg(spec, index, params, policy, threshold, measured, adaptive) -> Leg:
+    """Always labeled with spec.convention: the closed form is what the
+    printed convention changes, so it never switches to `measured`."""
+    outage = None if threshold is None else outage_probability(params, policy, threshold, spec.convention)
+    return Leg(average_secrecy_age(params, policy), outage)
+
+
+def _oracle_leg(spec, index, params, policy, threshold, measured, adaptive) -> Leg:
     """Steady state at the configured truncation, or at the truncation the
     mean tolerance demands when `adaptive` (compare legs). A demand beyond
     max_truncation is an error rather than a silently loose oracle."""
@@ -324,27 +373,50 @@ def _oracle_solution(params: ChannelParams, policy: Policy, spec: SweepSpec, ada
                 f"p_tx={policy.p_tx}"
             )
         n = max(n, needed)
-    chain = build_truncated_chain(params, policy, n)
-    return steady_state(chain, tol=spec.oracle_tol)
+    solution = steady_state(build_truncated_chain(params, policy, n), tol=spec.oracle_tol)
+    report = oracle_metrics(solution, threshold, measured)
+    return Leg(
+        report.average_secrecy_age,
+        report.outage_probability,
+        outage_bound=report.outage_error_bound,
+        truncation=solution.chain.truncation,
+    )
 
 
-def _mc_estimate(
-    params: ChannelParams,
-    policy: Policy,
-    spec: SweepSpec,
-    row_index: int,
-    threshold: SecrecyThreshold | None,
-    convention: OutageConvention,
-):
+def _monte_carlo_leg(spec, index, params, policy, threshold, measured, adaptive) -> Leg:
     config = SimConfig(
         horizon=spec.horizon,
         burn_in=spec.burn_in,
         replications=spec.replications,
-        base_seed=_row_seed(spec.seed, row_index),
+        base_seed=_row_seed(spec.seed, index),
         threshold=threshold,
     )
     # replications stay serial here; parallelism is across parameter points
-    return estimate(params, policy, config, convention=convention, workers=1)
+    est = estimate(params, policy, config, convention=measured, workers=1)
+    return Leg(est.mean_secrecy_age, est.outage_estimate, est.mean_halfwidth, est.outage_halfwidth)
+
+
+_LEGS: dict[str, Callable[..., Leg]] = {
+    "closed_form": _closed_form_leg,
+    "oracle": _oracle_leg,
+    "monte_carlo": _monte_carlo_leg,
+}
+
+
+def _run_legs(
+    spec: SweepSpec,
+    index: int,
+    params: ChannelParams,
+    policy: Policy,
+    threshold: SecrecyThreshold | None = None,
+    measured: OutageConvention | None = None,
+    adaptive: bool = False,
+) -> dict[str, Leg]:
+    """Every requested method at row `index`, in spec order. The oracle and
+    Monte Carlo legs estimate the event of convention `measured`
+    (spec.convention unless given); Monte Carlo seeds from the row index."""
+    measured = measured or spec.convention
+    return {m: _LEGS[m](spec, index, params, policy, threshold, measured, adaptive) for m in spec.methods}
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +437,8 @@ def run_fig1_sweep(spec: SweepSpec) -> SweepResult:
 
     def evaluate(indexed):
         index, (q, ptx, ratio, p) = indexed
-        params = ChannelParams(p=p, q=q)
-        policy = Policy(p_tx=ptx)
-        row: list[Any] = [q, ptx, ratio, p]
-        for method in spec.methods:
-            if method == "closed_form":
-                row.append(average_secrecy_age(params, policy))
-            elif method == "oracle":
-                report = oracle_metrics(_oracle_solution(params, policy, spec, adaptive=False))
-                row.append(report.average_secrecy_age)
-            else:
-                row.append(_mc_estimate(params, policy, spec, index, None, spec.convention).mean_secrecy_age)
-        return row
+        legs = _run_legs(spec, index, ChannelParams(p=p, q=q), Policy(p_tx=ptx))
+        return [q, ptx, ratio, p] + [leg.mean for leg in legs.values()]
 
     rows = _ordered_map(evaluate, list(enumerate(points)), spec.workers)
     header = ["q", "p_tx", "ratio", "p"] + [f"avg_secrecy_age_{m}" for m in spec.methods]
@@ -402,26 +464,10 @@ def run_fig2_sweep(spec: SweepSpec) -> SweepResult:
 
     def evaluate(indexed):
         index, (q, eta, ptx, starred) = indexed
-        params = ChannelParams(p=p, q=q)
         policy = Policy(p_tx=ptx)
-        threshold = SecrecyThreshold(eta)
-        row: list[Any] = [p, q, eta, ptx]
-        for method in spec.methods:
-            if method == "closed_form":
-                row.append(objective(params, policy, threshold, spec.convention))
-            elif method == "oracle":
-                report = oracle_metrics(
-                    _oracle_solution(params, policy, spec, adaptive=False),
-                    threshold,
-                    spec.convention,
-                )
-                row.append(policy.p_tx * (1.0 - report.outage_probability))
-            else:
-                est = _mc_estimate(params, policy, spec, index, threshold, spec.convention)
-                row.append(policy.p_tx * (1.0 - est.outage_estimate))
-        row.append(spec.convention.value)
-        row.append(starred)
-        return row
+        legs = _run_legs(spec, index, ChannelParams(p=p, q=q), policy, SecrecyThreshold(eta))
+        objectives = [policy.p_tx * (1.0 - leg.outage) for leg in legs.values()]
+        return [p, q, eta, ptx, *objectives, spec.convention.value, starred]
 
     rows = _ordered_map(evaluate, list(enumerate(curve_points)), spec.workers)
     header = (
@@ -445,6 +491,7 @@ _COMPARE_HEADER = [
     "outage_monte_carlo", "outage_mc_halfwidth", "outage_ci_covers",
     "outage_note",
 ]
+_ABSENT = Leg(None, outage_bound=None)  # a method not requested: empty cells
 
 
 def run_compare(spec: SweepSpec) -> SweepResult:
@@ -458,72 +505,51 @@ def run_compare(spec: SweepSpec) -> SweepResult:
     coverage failure.
     """
     points = list(product(spec.p_values, spec.q_values, spec.ptx_values, spec.eta_values))
-    use_cf = "closed_form" in spec.methods
-    use_or = "oracle" in spec.methods
-    use_mc = "monte_carlo" in spec.methods
     strict = OutageConvention.STRICT_DEFINITION
 
     def evaluate(indexed):
         index, (p, q, ptx, eta) = indexed
         params = ChannelParams(p=p, q=q)
         policy = Policy(p_tx=ptx)
-        threshold = SecrecyThreshold(eta)
+        legs = _run_legs(spec, index, params, policy, SecrecyThreshold(eta), strict, adaptive=True)
+        cf, orc, mc = (legs.get(m, _ABSENT) for m in METHODS)
         failures: list[str] = []
         point = f"p={p:g} q={q:g} p_tx={ptx:g} eta={eta}"
-        mean_cf = mean_or = mean_mc = mean_hw = None
-        out_cf = out_or = out_mc = out_hw = None
         mean_diff = out_diff = None
         mean_covers = out_covers = None
         note = ""
-        n_used = None
         # offset between the labeled closed form and the measured event
         offset = 0.0
         if spec.convention is OutageConvention.PAPER_PRINTED:
             offset = secrecy_gap_pmf(eta, params, policy)
-            if use_cf and (use_or or use_mc):
+            if cf is not _ABSENT and len(legs) > 1:
                 note = "mismatch_expected"
-        if use_cf:
-            mean_cf = average_secrecy_age(params, policy)
-            out_cf = outage_probability(params, policy, threshold, spec.convention)
-        if use_or:
-            solution = _oracle_solution(params, policy, spec, adaptive=True)
-            n_used = solution.chain.truncation
-            report = oracle_metrics(solution, threshold, strict)
-            mean_or = report.average_secrecy_age
-            out_or = report.outage_probability
-            if use_cf:
-                mean_diff = abs(mean_cf - mean_or) if math.isfinite(mean_cf) else (
-                    0.0 if mean_cf == mean_or else math.inf
+        if cf is not _ABSENT and orc is not _ABSENT:
+            mean_diff = abs(cf.mean - orc.mean) if math.isfinite(cf.mean) else (
+                0.0 if cf.mean == orc.mean else math.inf
+            )
+            if mean_diff > spec.tol_mean:
+                failures.append(f"{point}: |mean closed-oracle| = {mean_diff:.3e} > {spec.tol_mean:g}")
+            out_diff = abs(orc.outage - cf.outage)
+            allowed = spec.tol_prob + orc.outage_bound
+            if abs(out_diff - offset) > allowed:
+                failures.append(
+                    f"{point}: outage closed-vs-oracle off by {out_diff:.3e}, "
+                    f"expected {offset:.3e} within {allowed:.3e}"
                 )
-                if mean_diff > spec.tol_mean:
-                    failures.append(f"{point}: |mean closed-oracle| = {mean_diff:.3e} > {spec.tol_mean:g}")
-                out_diff = abs(out_or - out_cf)
-                allowed = spec.tol_prob + report.outage_error_bound
-                if abs(out_diff - offset) > allowed:
-                    failures.append(
-                        f"{point}: outage closed-vs-oracle off by {out_diff:.3e}, "
-                        f"expected {offset:.3e} within {allowed:.3e}"
-                    )
-        if use_mc:
-            est = _mc_estimate(params, policy, spec, index, threshold, strict)
-            mean_mc = est.mean_secrecy_age
-            mean_hw = est.mean_halfwidth
-            out_mc = est.outage_estimate
-            out_hw = est.outage_halfwidth
-            mean_ref = mean_cf if use_cf else mean_or
-            out_ref = None
-            if use_cf:
-                out_ref = out_cf + offset  # the measured event's closed form
-            elif use_or:
-                out_ref = out_or
-            if mean_ref is not None and mean_hw is not None and math.isfinite(mean_ref):
-                mean_covers = int(abs(mean_mc - mean_ref) <= mean_hw)
-            if out_ref is not None and out_hw is not None:
-                out_covers = int(abs(out_mc - out_ref) <= out_hw)
+        if mc is not _ABSENT:
+            # the closed form when requested, else the oracle; the closed-form
+            # outage shifted by the offset is the measured event's
+            mean_ref = cf.mean if cf is not _ABSENT else orc.mean
+            out_ref = cf.outage + offset if cf is not _ABSENT else orc.outage
+            if mean_ref is not None and mc.mean_halfwidth is not None and math.isfinite(mean_ref):
+                mean_covers = int(abs(mc.mean - mean_ref) <= mc.mean_halfwidth)
+            if out_ref is not None and mc.outage_halfwidth is not None:
+                out_covers = int(abs(mc.outage - out_ref) <= mc.outage_halfwidth)
         row = [
-            p, q, ptx, eta, spec.convention.value, n_used,
-            mean_cf, mean_or, mean_diff, mean_mc, mean_hw, mean_covers,
-            out_cf, out_or, out_diff, out_mc, out_hw, out_covers,
+            p, q, ptx, eta, spec.convention.value, orc.truncation,
+            cf.mean, orc.mean, mean_diff, mc.mean, mc.mean_halfwidth, mean_covers,
+            cf.outage, orc.outage, out_diff, mc.outage, mc.outage_halfwidth, out_covers,
             note,
         ]
         return row, failures, mean_covers, out_covers

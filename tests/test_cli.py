@@ -6,17 +6,21 @@ determinism of outputs.
 """
 
 import csv
+import json
 import logging
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from aoi_secrecy.analytics import OutageConvention
-from aoi_secrecy.cli import main
+from aoi_secrecy.cli import build_parser, main
 from aoi_secrecy.model import ChannelParams, Policy
 from aoi_secrecy.oracle import truncation_for_mean_tol
 from aoi_secrecy.sweeps import (
+    SETTINGS,
     SweepSpec,
     _fmt,
     default_spec,
@@ -24,6 +28,9 @@ from aoi_secrecy.sweeps import (
     make_spec,
     run_compare,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 INI_TEXT = """
 [experiment]
@@ -110,6 +117,61 @@ class TestConfigLoading:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
             make_spec("fig1", None, methods=("quadrature",))
+
+    def test_integers_take_base_prefixes(self):
+        # flags and config keys share one integer parser: int(text, 0)
+        parser = build_parser()
+        assert parser.parse_args(["fig1", "--seed", " 0x10 "]).seed == 16
+        with pytest.raises(SystemExit):
+            parser.parse_args(["fig1", "--seed", "010"])
+
+
+# one distinct, valid-for-compare text value per SweepSpec field
+SAMPLE_VALUES = {
+    "methods": "oracle, closed_form",
+    "convention": "paper",
+    "seed": "0x2a",
+    "out_path": "elsewhere.csv",
+    "p_values": "0.25, 0.5",
+    "q_values": "0.3",
+    "ptx_values": "0.4, 1.0",
+    "ratio_values": "1.5, 2",
+    "eta_values": "3, 7",
+    "p_fixed": "0.6",
+    "horizon": "12345",
+    "burn_in": "77",
+    "replications": "5",
+    "workers": "3",
+    "truncation": "321",
+    "max_truncation": "999",
+    "oracle_tol": "1e-10",
+    "tol_mean": "2e-6",
+    "tol_prob": "3e-9",
+    "mc_coverage_min": "0.5",
+    "optimize_step": "0.01",
+}
+
+
+class TestSettingsTable:
+    def test_every_spec_field_has_one_row(self):
+        rows = [s.field for s in SETTINGS]
+        assert sorted(rows) == sorted(f.name for f in fields(SweepSpec) if f.name != "experiment")
+        assert sorted(rows) == sorted(SAMPLE_VALUES)
+
+    @pytest.mark.parametrize("fmt", ["ini", "json"])
+    @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.field)
+    def test_config_key_and_flag_agree(self, tmp_path, setting, fmt):
+        value = SAMPLE_VALUES[setting.field]
+        path = tmp_path / f"one.{fmt}"
+        if fmt == "ini":
+            path.write_text(f"[{setting.section}]\n{setting.key} = {value}\n")
+        else:
+            path.write_text(json.dumps({setting.section: {setting.key: value}}))
+        from_config = make_spec("compare", load_config(str(path)))
+        args = build_parser().parse_args(["compare", setting.flag, value])
+        from_flag = make_spec("compare", None, **{s.field: getattr(args, s.field) for s in SETTINGS})
+        assert from_config == from_flag
+        assert from_config != default_spec("compare")
 
 
 class TestSpecValidation:
@@ -296,6 +358,27 @@ class TestErrorPaths:
         assert code == 2
         assert "at least two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", [
+        ("scalar_grid.json", '{"grid": {"q": 0.2}}'),
+        ("no_section.ini", "q = 0.2\n"),
+        ("fractional_int.json", '{"sim": {"horizon": 20000.9}}'),
+        ("boolean_int.json", '{"sim": {"horizon": true}}'),
+        ("null_value.json", '{"oracle": {"tol": null}}'),
+    ])
+    def test_malformed_config(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_config(str(path))
+        assert main(["fig1", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_config_for_another_experiment(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(INI_TEXT)  # kind = compare
+        assert main(["fig1", "--config", str(path)]) == 2
+        assert "'compare'" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, tmp_path):
@@ -310,6 +393,20 @@ class TestDeterminism:
             main([*args, "--out", str(out), "--workers", workers])
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("fig1", ["fig1"]),
+    ("fig2_paper", ["fig2", "--config", str(ROOT / "configs" / "fig2_paper.json")]),
+    ("optimize", ["optimize"]),
+    ("compare_quick", ["compare", "--config", str(ROOT / "configs" / "compare_quick.ini")]),
+])
+def test_golden_bytes(tmp_path, name, argv):
+    # tests/golden fixes the CSV bytes of four shipped runs; regenerate a
+    # file only in a change that means to alter that output and says so
+    out = tmp_path / f"{name}.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 def test_float_formatting():

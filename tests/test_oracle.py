@@ -7,7 +7,6 @@ structured apply() and the per-state sparse matrix); they are compared here
 and must stay independent.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -33,7 +32,6 @@ from aoi_secrecy.oracle import (
     outage_truncation_bound,
     steady_state,
     truncation_for_mean_tol,
-    write_pi_csv,
 )
 
 P = ChannelParams(0.8, 0.2)
@@ -275,15 +273,3 @@ class TestTruncationSizing:
             truncation_for_mean_tol(ChannelParams(0.8, 0.0), HALF, 1e-6)
         with pytest.raises(ValueError):
             truncation_for_mean_tol(P, HALF, 0.0)
-
-
-def test_write_pi_csv_round_trip(tmp_path):
-    st = steady_state(build_truncated_chain(P, HALF, 4))
-    path = tmp_path / "pi.csv"
-    write_pi_csv(st, str(path))
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["i", "j", "probability"]
-    assert len(rows) == 1 + 16
-    for i, j, prob in rows[1:]:
-        assert prob == f"{st.prob(int(i), int(j)):.9g}"
