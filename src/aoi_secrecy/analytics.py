@@ -17,10 +17,6 @@ import numpy as np
 
 from .model import ChannelParams, Policy, SecrecyReport, SecrecyThreshold
 
-# Switch to log-domain exponentiation for huge exponents; below this plain
-# pow is exact enough and faster.
-_LOG_POW_CUTOFF = 10**6
-
 
 class OutageConvention(Enum):
     """Two readings of the outage threshold event.
@@ -60,11 +56,9 @@ class StationaryQuery:
 
 
 def geometric_power(base: float, n: int) -> float:
-    """base**n for base in [0, 1], n >= 0, stable for very large n."""
+    """base**n for base in [0, 1], n >= 0."""
     if n < 0:
         raise ValueError("negative exponent")
-    if n > _LOG_POW_CUTOFF and 0.0 < base < 1.0:
-        return math.exp(n * math.log(base))
     return base**n
 
 
@@ -249,13 +243,8 @@ def closed_form_report(
     policy: Policy,
     threshold: SecrecyThreshold | None = None,
     convention: OutageConvention = DEFAULT_CONVENTION,
-    gap_support: int = 64,
 ) -> SecrecyReport:
-    """Bundle the closed-form metrics into a SecrecyReport.
-
-    gap_support bounds the tabulated pmf only; means and outage stay exact.
-    """
-    pmf = {d: secrecy_gap_pmf(d, params, policy) for d in range(1, gap_support + 1)}
+    """Bundle the closed-form metrics into a SecrecyReport."""
     out_prob = None
     event = None
     label = None
@@ -269,5 +258,4 @@ def closed_form_report(
         outage_probability=out_prob,
         outage_event=event,
         convention=label,
-        gap_pmf=pmf,
     )

@@ -10,8 +10,8 @@ built on the four-outcome transition law defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class SecrecyReport:
     outage_probability: Optional[float] = None
     outage_event: Optional[int] = None
     convention: Optional[str] = None
-    gap_pmf: Mapping[int, float] = field(default_factory=dict)
     mean_error_bound: float = 0.0
     outage_error_bound: float = 0.0
 

@@ -126,18 +126,8 @@ class TruncatedChain:
         return csr_matrix((vals, (rows, cols)), shape=(self.n_states, self.n_states))
 
 
-def build_truncated_chain(
-    params: ChannelParams,
-    policy: Policy,
-    truncation: int,
-    max_tail_mass: float | None = None,
-) -> TruncatedChain:
-    """Assemble the clamped chain; optionally insist the clamp masses are small.
-
-    max_tail_mass bounds the sum of the two stationary boundary masses; a
-    truncation too small to meet it raises with the numbers rather than
-    being accepted silently.
-    """
+def build_truncated_chain(params: ChannelParams, policy: Policy, truncation: int) -> TruncatedChain:
+    """Assemble the clamped chain from the one-slot law."""
     if not (isinstance(truncation, int) and truncation >= 2):
         raise ValueError(f"truncation must be an integer >= 2, got {truncation!r}")
     # Read the four outcome masses off the generic one-slot law.
@@ -145,7 +135,7 @@ def build_truncated_chain(
     masses = {(1, 1): 0.0, (3, 1): 0.0, (1, 3): 0.0, (3, 3): 0.0}
     for succ, prob in transition_distribution(probe, params, policy):
         masses[(succ.delta_d, succ.delta_e)] = prob
-    chain = TruncatedChain(
+    return TruncatedChain(
         params=params,
         policy=policy,
         truncation=truncation,
@@ -154,14 +144,6 @@ def build_truncated_chain(
         p_only_d=masses[(1, 3)],
         p_neither=masses[(3, 3)],
     )
-    if max_tail_mass is not None:
-        tail_d, tail_e = chain.stationary_tail_bounds()
-        if tail_d + tail_e > max_tail_mass:
-            raise ValueError(
-                f"truncation {truncation} leaves clamp mass {tail_d + tail_e:.3e} "
-                f"> requested bound {max_tail_mass:.3e}; increase the truncation"
-            )
-    return chain
 
 
 @dataclass(frozen=True)
@@ -186,46 +168,23 @@ class SteadyState:
         return float(self.pi[:, -1].sum())
 
 
-def default_max_iters(chain: TruncatedChain, tol: float) -> int:
-    """Iteration budget: front passage through the truncation plus geometric
-    mixing at the slower reset rate (for arbitrary starting distributions)."""
-    rates = [r for r in (chain.reset_rate_d, chain.reset_rate_e) if r > 0.0]
-    mixing = 0
-    if rates:
-        mixing = math.ceil(math.log(2.0 / tol) / min(rates))
-    return chain.truncation + 50 + mixing
-
-
-def steady_state(
-    chain: TruncatedChain,
-    tol: float = 1e-12,
-    max_iters: int | None = None,
-    init: np.ndarray | None = None,
-) -> SteadyState:
+def steady_state(chain: TruncatedChain, tol: float = 1e-12, max_iters: int | None = None) -> SteadyState:
     """Power iteration to the stationary law of the clamped operator.
 
     Stops when the L1 change of one application is <= tol; since the operator
     is an L1 contraction on differences, the returned iterate's stationarity
-    residual is bounded by the same tol. Default start is the point mass at
+    residual is bounded by the same tol. The start is the point mass at
     (1, 1), from which every truncated-state probability is determined by the
     last <= N slot outcomes, so the iteration settles to rounding noise after
-    about N steps whatever the mixing rate.
+    about N steps whatever the mixing rate; the default budget is N + 50.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     n = chain.truncation
-    if init is None:
-        current = np.zeros((n, n))
-        current[0, 0] = 1.0
-    else:
-        current = np.asarray(init, dtype=float).copy()
-        if current.shape != (n, n):
-            raise ValueError(f"init shape {current.shape} != ({n}, {n})")
-        if np.any(current < 0.0) or not math.isclose(current.sum(), 1.0, abs_tol=1e-9):
-            raise ValueError("init must be a probability distribution over the states")
-        current /= current.sum()
+    current = np.zeros((n, n))
+    current[0, 0] = 1.0
     if max_iters is None:
-        max_iters = default_max_iters(chain, tol)
+        max_iters = n + 50
     scratch = np.empty_like(current)
     residual = math.inf
     for iteration in range(1, max_iters + 1):
@@ -318,7 +277,6 @@ def oracle_metrics(
         outage_probability=out_prob,
         outage_event=event,
         convention=label,
-        gap_pmf={d: float(pmf[d]) for d in range(1, n)},
         mean_error_bound=mean_bound,
         outage_error_bound=out_bound,
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,7 +73,6 @@ class ReplicationStats:
     determines the mean and any threshold frequency.
     """
 
-    replication_index: int
     slots_observed: int
     gap_hist: np.ndarray
     state11_count: int
@@ -100,7 +99,6 @@ class SimEstimate:
     outage_estimate: Optional[float]
     outage_halfwidth: Optional[float]
     outage_event: Optional[int]
-    empirical_gap_pmf: dict[int, float] = field(default_factory=dict)
     slots_observed: int = 0
     replications: int = 0
 
@@ -151,7 +149,6 @@ def run_replication(
     hist = np.bincount(gap, minlength=1)
     state11 = int(np.count_nonzero((obs_d == 1) & (obs_e == 1)))
     return ReplicationStats(
-        replication_index=replication_index,
         slots_observed=int(obs_d.shape[0]),
         gap_hist=hist,
         state11_count=state11,
@@ -177,7 +174,7 @@ def _ci(values: Sequence[float]) -> tuple[float, Optional[float]]:
 
 
 def aggregate(stats: Sequence[ReplicationStats], event: int | None = None) -> SimEstimate:
-    """Combine replications: across-replication CIs, pooled gap frequencies."""
+    """Combine replications into across-replication CIs."""
     if not stats:
         raise ValueError("no replications to aggregate")
     mean, mean_hw = _ci([s.mean_secrecy_age for s in stats])
@@ -185,20 +182,13 @@ def aggregate(stats: Sequence[ReplicationStats], event: int | None = None) -> Si
     out_hw: Optional[float] = None
     if event is not None:
         out_prob, out_hw = _ci([s.outage_at(event) for s in stats])
-    total = sum(s.slots_observed for s in stats)
-    width = max(len(s.gap_hist) for s in stats)
-    pooled = np.zeros(width, dtype=np.int64)
-    for s in stats:
-        pooled[: len(s.gap_hist)] += s.gap_hist
-    pmf = {d: float(pooled[d]) / total for d in range(1, width) if pooled[d] > 0}
     return SimEstimate(
         mean_secrecy_age=mean,
         mean_halfwidth=mean_hw,
         outage_estimate=out_prob,
         outage_halfwidth=out_hw,
         outage_event=event,
-        empirical_gap_pmf=pmf,
-        slots_observed=total,
+        slots_observed=sum(s.slots_observed for s in stats),
         replications=len(stats),
     )
 

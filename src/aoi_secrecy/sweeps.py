@@ -123,7 +123,7 @@ class SweepSpec:
             for v in values:
                 if not low <= v <= high:
                     raise ValueError(f"{name} grid value {v} out of range")
-        if any(r <= 0 for r in self.ratio_values):
+        if not all(r > 0 for r in self.ratio_values):
             raise ValueError("ratio grid values must be positive")
         if any(not (isinstance(e, int) and e >= 1) for e in self.eta_values):
             raise ValueError("eta grid values must be integers >= 1")
@@ -131,8 +131,16 @@ class SweepSpec:
             raise ValueError("p_fixed out of range")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.optimize_step <= 0.0 or self.optimize_step > 0.5:
+        if not 0.0 < self.optimize_step <= 0.5:
             raise ValueError("optimize_step out of range")
+        # positive comparisons, so a NaN tolerance is rejected too
+        if not 0.0 <= self.mc_coverage_min <= 1.0:
+            raise ValueError(f"mc_coverage_min must lie in [0, 1], got {self.mc_coverage_min}")
+        if not self.tol_prob >= 0.0:
+            raise ValueError(f"tol_prob must be >= 0, got {self.tol_prob}")
+        for name in ("tol_mean", "oracle_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in _EXPERIMENTS[self.experiment]:
             if name.endswith("_values") and not getattr(self, name):
                 raise ValueError(f"{self.experiment} needs a nonempty {name} grid")
@@ -167,8 +175,15 @@ def _int(raw: Any) -> int:
     raise ValueError(f"expected an integer, got {raw!r}")
 
 
+def _float(raw: Any) -> float:
+    """Booleans are rejected rather than read as 0 or 1."""
+    if isinstance(raw, bool):
+        raise ValueError(f"expected a number, got {raw!r}")
+    return float(raw)
+
+
 def _floats(raw: Any) -> tuple[float, ...]:
-    return tuple(float(v) for v in _items(raw))
+    return tuple(_float(v) for v in _items(raw))
 
 
 def _ints(raw: Any) -> tuple[int, ...]:
@@ -207,7 +222,7 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("ptx_values", "grid", "ptx", "--ptx", _floats, "comma list of p_tx values"),
     Setting("ratio_values", "grid", "ratio", "--ratio", _floats, "comma list of p/q ratios"),
     Setting("eta_values", "grid", "eta", "--eta", _ints, "comma list of thresholds"),
-    Setting("p_fixed", "fig2", "p_fixed", "--p-fixed", float, "the fixed p of the fig2 sweep"),
+    Setting("p_fixed", "fig2", "p_fixed", "--p-fixed", _float, "the fixed p of the fig2 sweep"),
     Setting("horizon", "sim", "horizon", "--horizon", _int, "slots per replication"),
     Setting("burn_in", "sim", "burn_in", "--burn-in", _int, "slots discarded per replication"),
     Setting("replications", "sim", "replications", "--replications", _int,
@@ -216,12 +231,12 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("truncation", "oracle", "truncation", "--truncation", _int, "oracle truncation age"),
     Setting("max_truncation", "oracle", "max_truncation", "--max-truncation", _int,
             "largest truncation the compare oracle may adapt to"),
-    Setting("oracle_tol", "oracle", "tol", "--oracle-tol", float, "oracle power-iteration tolerance"),
-    Setting("tol_mean", "tolerances", "mean", "--tol-mean", float, "closed-vs-oracle mean tolerance"),
-    Setting("tol_prob", "tolerances", "prob", "--tol-prob", float, "closed-vs-oracle probability tolerance"),
-    Setting("mc_coverage_min", "tolerances", "mc_coverage", "--mc-coverage", float,
+    Setting("oracle_tol", "oracle", "tol", "--oracle-tol", _float, "oracle power-iteration tolerance"),
+    Setting("tol_mean", "tolerances", "mean", "--tol-mean", _float, "closed-vs-oracle mean tolerance"),
+    Setting("tol_prob", "tolerances", "prob", "--tol-prob", _float, "closed-vs-oracle probability tolerance"),
+    Setting("mc_coverage_min", "tolerances", "mc_coverage", "--mc-coverage", _float,
             "required fraction of CI-covered points"),
-    Setting("optimize_step", "tolerances", "optimize_step", "--step", float, "optimize grid-search step"),
+    Setting("optimize_step", "tolerances", "optimize_step", "--step", _float, "optimize grid-search step"),
 )
 _BY_CONFIG_KEY = {(s.section, s.key): s for s in SETTINGS}
 
@@ -352,28 +367,15 @@ class Leg:
     truncation: Optional[int] = None
 
 
-def _closed_form_leg(spec, index, params, policy, threshold, measured, adaptive) -> Leg:
+def _closed_form_leg(spec, index, params, policy, threshold, measured, truncation) -> Leg:
     """Always labeled with spec.convention: the closed form is what the
     printed convention changes, so it never switches to `measured`."""
     outage = None if threshold is None else outage_probability(params, policy, threshold, spec.convention)
     return Leg(average_secrecy_age(params, policy), outage)
 
 
-def _oracle_leg(spec, index, params, policy, threshold, measured, adaptive) -> Leg:
-    """Steady state at the configured truncation, or at the truncation the
-    mean tolerance demands when `adaptive` (compare legs). A demand beyond
-    max_truncation is an error rather than a silently loose oracle."""
-    n = spec.truncation
-    if adaptive and params.q > 0.0:
-        needed = truncation_for_mean_tol(params, policy, spec.tol_mean / 10.0)
-        if needed > spec.max_truncation:
-            raise ValueError(
-                f"mean tolerance {spec.tol_mean:g} needs truncation {needed} "
-                f"> max_truncation {spec.max_truncation} at p={params.p} q={params.q} "
-                f"p_tx={policy.p_tx}"
-            )
-        n = max(n, needed)
-    solution = steady_state(build_truncated_chain(params, policy, n), tol=spec.oracle_tol)
+def _oracle_leg(spec, index, params, policy, threshold, measured, truncation) -> Leg:
+    solution = steady_state(build_truncated_chain(params, policy, truncation), tol=spec.oracle_tol)
     report = oracle_metrics(solution, threshold, measured)
     return Leg(
         report.average_secrecy_age,
@@ -383,7 +385,7 @@ def _oracle_leg(spec, index, params, policy, threshold, measured, adaptive) -> L
     )
 
 
-def _monte_carlo_leg(spec, index, params, policy, threshold, measured, adaptive) -> Leg:
+def _monte_carlo_leg(spec, index, params, policy, threshold, measured, truncation) -> Leg:
     config = SimConfig(
         horizon=spec.horizon,
         burn_in=spec.burn_in,
@@ -410,13 +412,15 @@ def _run_legs(
     policy: Policy,
     threshold: SecrecyThreshold | None = None,
     measured: OutageConvention | None = None,
-    adaptive: bool = False,
+    truncation: int | None = None,
 ) -> dict[str, Leg]:
     """Every requested method at row `index`, in spec order. The oracle and
     Monte Carlo legs estimate the event of convention `measured`
-    (spec.convention unless given); Monte Carlo seeds from the row index."""
+    (spec.convention unless given); the oracle runs at `truncation`
+    (spec.truncation unless given); Monte Carlo seeds from the row index."""
     measured = measured or spec.convention
-    return {m: _LEGS[m](spec, index, params, policy, threshold, measured, adaptive) for m in spec.methods}
+    truncation = truncation or spec.truncation
+    return {m: _LEGS[m](spec, index, params, policy, threshold, measured, truncation) for m in spec.methods}
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +498,22 @@ _COMPARE_HEADER = [
 _ABSENT = Leg(None, outage_bound=None)  # a method not requested: empty cells
 
 
+def _compare_truncation(spec: SweepSpec, params: ChannelParams, policy: Policy) -> int:
+    """The compare oracle's truncation: spec.truncation, raised to what the
+    mean tolerance demands. A demand beyond max_truncation is an error rather
+    than a silently loose oracle."""
+    if params.q == 0.0:
+        return spec.truncation
+    needed = truncation_for_mean_tol(params, policy, spec.tol_mean / 10.0)
+    if needed > spec.max_truncation:
+        raise ValueError(
+            f"mean tolerance {spec.tol_mean:g} needs truncation {needed} "
+            f"> max_truncation {spec.max_truncation} at p={params.p} q={params.q} "
+            f"p_tx={policy.p_tx}"
+        )
+    return max(spec.truncation, needed)
+
+
 def run_compare(spec: SweepSpec) -> SweepResult:
     """Cross-validate the requested methods point by point.
 
@@ -502,16 +522,21 @@ def run_compare(spec: SweepSpec) -> SweepResult:
     outage is the eta_th - 1 event, so those points are expected to sit one
     pmf step away; they are marked mismatch_expected and the offset itself is
     checked, which is a pass, not a failure. Exit code 1 on any tolerance or
-    coverage failure.
+    coverage failure. Every point's oracle truncation is settled before any
+    leg runs, so an unmeetable mean tolerance costs no work.
     """
     points = list(product(spec.p_values, spec.q_values, spec.ptx_values, spec.eta_values))
+    truncations = [
+        _compare_truncation(spec, ChannelParams(p=p, q=q), Policy(p_tx=ptx)) if "oracle" in spec.methods else None
+        for p, q, ptx, _ in points
+    ]
     strict = OutageConvention.STRICT_DEFINITION
 
     def evaluate(indexed):
         index, (p, q, ptx, eta) = indexed
         params = ChannelParams(p=p, q=q)
         policy = Policy(p_tx=ptx)
-        legs = _run_legs(spec, index, params, policy, SecrecyThreshold(eta), strict, adaptive=True)
+        legs = _run_legs(spec, index, params, policy, SecrecyThreshold(eta), strict, truncations[index])
         cf, orc, mc = (legs.get(m, _ABSENT) for m in METHODS)
         failures: list[str] = []
         point = f"p={p:g} q={q:g} p_tx={ptx:g} eta={eta}"

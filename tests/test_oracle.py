@@ -7,11 +7,14 @@ structured apply() and the per-state sparse matrix); they are compared here
 and must stay independent.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aoi_secrecy
 from aoi_secrecy.analytics import (
     OutageConvention,
     StationaryQuery,
@@ -74,12 +77,6 @@ class TestChainConstruction:
             build_truncated_chain(P, HALF, 1)
         with pytest.raises(ValueError):
             build_truncated_chain(P, HALF, 40.0)
-
-    def test_tail_mass_budget_enforced(self):
-        # rate_e = 0.02: (0.98)^49 is about 0.37, nowhere near 1e-6
-        with pytest.raises(ValueError, match="clamp mass"):
-            build_truncated_chain(SLOW, Policy(0.2), 50, max_tail_mass=1e-6)
-        build_truncated_chain(SLOW, Policy(0.2), 50)  # fine without the budget
 
     def test_stationary_tail_bounds_formula(self):
         chain = build_truncated_chain(SLOW, HALF, 80)
@@ -145,23 +142,11 @@ class TestSteadyState:
         closed = stationary_block(P, HALF, 30)
         assert np.max(np.abs(st.pi[:30, :30] - closed)) < 1e-11
 
-    def test_unique_limit_from_different_starts(self):
-        chain = build_truncated_chain(P, HALF, 60)
-        from_point = steady_state(chain)
-        uniform = np.full((60, 60), 1.0 / 3600)
-        from_uniform = steady_state(chain, init=uniform)
-        assert np.abs(from_point.pi - from_uniform.pi).sum() < 1e-10
-
     def test_invalid_inputs(self):
         chain = build_truncated_chain(P, HALF, 10)
-        with pytest.raises(ValueError):
-            steady_state(chain, tol=0.0)
-        with pytest.raises(ValueError):
-            steady_state(chain, init=np.zeros((3, 3)))
-        bad = np.full((10, 10), 1.0 / 100)
-        bad[0, 0] = -bad[0, 0]
-        with pytest.raises(ValueError):
-            steady_state(chain, init=bad)
+        for tol in (0.0, -1e-12, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                steady_state(chain, tol=tol)
 
     def test_iteration_budget_exhaustion_raises(self):
         chain = build_truncated_chain(P, HALF, 60)
@@ -273,3 +258,23 @@ class TestTruncationSizing:
             truncation_for_mean_tol(ChannelParams(0.8, 0.0), HALF, 1e-6)
         with pytest.raises(ValueError):
             truncation_for_mean_tol(P, HALF, 0.0)
+
+
+# the only analytics names the measurement routes may share: the event
+# convention, never a closed form
+SHARED_WITH_ANALYTICS = {"OutageConvention", "DEFAULT_CONVENTION", "outage_event"}
+
+
+@pytest.mark.parametrize("module", ["oracle.py", "simulate.py"])
+def test_route_does_not_import_closed_forms(module):
+    tree = ast.parse((Path(aoi_secrecy.__file__).parent / module).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("analytics") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            source = (node.module or "").rpartition(".")[2]
+            if source == "analytics":
+                assert names <= SHARED_WITH_ANALYTICS, f"{module} imports {names - SHARED_WITH_ANALYTICS}"
+            elif source in ("", "aoi_secrecy"):
+                assert "analytics" not in names, f"{module} imports the analytics module"
