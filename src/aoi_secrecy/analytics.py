@@ -55,13 +55,6 @@ class StationaryQuery:
             raise ValueError(f"j must be an integer >= 1, got {self.j!r}")
 
 
-def geometric_power(base: float, n: int) -> float:
-    """base**n for base in [0, 1], n >= 0."""
-    if n < 0:
-        raise ValueError("negative exponent")
-    return base**n
-
-
 def _rates(params: ChannelParams, policy: Policy) -> tuple[float, float, float]:
     """Per-slot reset rates of the two ages and the no-reset probability."""
     ptx = policy.p_tx
@@ -82,12 +75,12 @@ def stationary_pi(query: StationaryQuery, params: ChannelParams, policy: Policy)
     p, q, ptx = params.p, params.q, policy.p_tx
     rate_d, rate_e, stay = _rates(params, policy)
     if i == j:
-        return ptx * p * q * geometric_power(stay, i - 1)
+        return ptx * p * q * stay ** (i - 1)
     if i > j:
         head = rate_d * ptx * (1.0 - p) * q
-        return head * geometric_power(1.0 - rate_d, i - j - 1) * geometric_power(stay, j - 1)
+        return head * (1.0 - rate_d) ** (i - j - 1) * stay ** (j - 1)
     head = rate_e * ptx * (1.0 - q) * p
-    return head * geometric_power(1.0 - rate_e, j - i - 1) * geometric_power(stay, i - 1)
+    return head * (1.0 - rate_e) ** (j - i - 1) * stay ** (i - 1)
 
 
 def stationary_block(params: ChannelParams, policy: Policy, n: int) -> np.ndarray:
@@ -120,7 +113,7 @@ def row_sum(i: int, params: ChannelParams, policy: Policy) -> float:
     if not (isinstance(i, int) and i >= 1):
         raise ValueError(f"i must be an integer >= 1, got {i!r}")
     rate_d = policy.p_tx * params.p
-    return rate_d * geometric_power(1.0 - rate_d, i - 1)
+    return rate_d * (1.0 - rate_d) ** (i - 1)
 
 
 def col_sum(j: int, params: ChannelParams, policy: Policy) -> float:
@@ -128,7 +121,7 @@ def col_sum(j: int, params: ChannelParams, policy: Policy) -> float:
     if not (isinstance(j, int) and j >= 1):
         raise ValueError(f"j must be an integer >= 1, got {j!r}")
     rate_e = policy.p_tx * params.q
-    return rate_e * geometric_power(1.0 - rate_e, j - 1)
+    return rate_e * (1.0 - rate_e) ** (j - 1)
 
 
 def _gap_denominator(params: ChannelParams) -> float:
@@ -150,7 +143,7 @@ def secrecy_gap_pmf(d: int, params: ChannelParams, policy: Policy) -> float:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     denom = _gap_denominator(params)
     p, q, ptx = params.p, params.q, policy.p_tx
-    return ptx * q * p * (1.0 - q) * geometric_power(1.0 - ptx * q, d - 1) / denom
+    return ptx * q * p * (1.0 - q) * (1.0 - ptx * q) ** (d - 1) / denom
 
 
 def positive_gap_mass(params: ChannelParams, policy: Policy) -> float:
@@ -180,7 +173,7 @@ def _outage_from_exponent(k: int, params: ChannelParams, policy: Policy) -> floa
     """
     denom = _gap_denominator(params)
     p, q, ptx = params.p, params.q, policy.p_tx
-    tail = p * (1.0 - q) * geometric_power(1.0 - ptx * q, k) / denom
+    tail = p * (1.0 - q) * (1.0 - ptx * q) ** k / denom
     return 1.0 - tail
 
 
@@ -196,10 +189,7 @@ def outage_probability(
     eta_th). PAPER_PRINTED: tail exponent eta_th - 1, i.e. the strict event
     at threshold eta_th - 1.
     """
-    k = threshold.eta_th
-    if convention is OutageConvention.PAPER_PRINTED:
-        k -= 1
-    return _outage_from_exponent(k, params, policy)
+    return _outage_from_exponent(outage_event(threshold, convention), params, policy)
 
 
 def outage_event(threshold: SecrecyThreshold, convention: OutageConvention) -> int:

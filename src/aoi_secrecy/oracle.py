@@ -215,19 +215,17 @@ def outage_truncation_bound(chain: TruncatedChain) -> float:
     return (1.0 - chain.reset_rate_e) ** chain.truncation
 
 
-def truncation_for_mean_tol(
-    params: ChannelParams, policy: Policy, tol: float, minimum: int = 2
-) -> int:
-    """Smallest truncation whose mean_truncation_bound is <= tol."""
+def truncation_for_mean_tol(params: ChannelParams, policy: Policy, tol: float) -> int:
+    """Smallest truncation (at least 2) whose mean_truncation_bound is <= tol."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     r_e = policy.p_tx * params.q
     if r_e <= 0.0:
         raise ValueError("q = 0: no finite truncation bounds the mean error")
     if r_e == 1.0:
-        return max(minimum, 2)
+        return 2
     needed = math.log(tol * r_e) / math.log(1.0 - r_e)
-    return max(minimum, 2, math.ceil(needed))
+    return max(2, math.ceil(needed))
 
 
 def gap_pmf_array(state: SteadyState) -> np.ndarray:

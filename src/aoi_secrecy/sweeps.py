@@ -46,6 +46,22 @@ log = logging.getLogger("aoi_secrecy.sweeps")
 METHODS = ("closed_form", "oracle", "monte_carlo")
 DEFAULT_SEED = 20260816
 
+# compare's fixed pass marks: |closed - oracle| for the mean, and for an
+# outage on top of the oracle's own truncation bound
+TOL_MEAN = 1e-6
+TOL_PROB = 1e-9
+# fraction of points whose 95% CI must cover the reference: a genuine
+# formula error drives coverage to ~0 at these horizons, while a correct
+# implementation misses ~5% of points by CI chance. On a 4-point grid
+# with few replications the false-alarm rate is not negligible:
+# configs/compare_quick.ini covers only 2/4 points at seeds 9 and 12.
+MC_COVERAGE_MIN = 0.75
+# largest oracle truncation any run may use or adapt to
+MAX_TRUNCATION = 4000
+# finest optimize grid: one objective call takes about 2 us, so the default
+# 64 probes at this step already take minutes
+MIN_OPTIMIZE_STEP = 1e-6
+
 # experiment -> its built-in settings: grids spanning the usual plotting
 # ranges, plus any other setting that differs from the SweepSpec default.
 # The grids listed are the ones the experiment reads; each must be nonempty.
@@ -97,16 +113,6 @@ class SweepSpec:
     burn_in: int = DEFAULT_BURN_IN
     replications: int = DEFAULT_REPLICATIONS
     truncation: int = 400
-    max_truncation: int = 4000
-    oracle_tol: float = 1e-12
-    tol_mean: float = 1e-6
-    tol_prob: float = 1e-9
-    # fraction of points whose 95% CI must cover the reference: a genuine
-    # formula error drives coverage to ~0 at these horizons, while a correct
-    # implementation misses ~5% of points by CI chance. On a 4-point grid
-    # with few replications the false-alarm rate is not negligible:
-    # configs/compare_quick.ini covers only 2/4 points at seeds 9 and 12.
-    mc_coverage_min: float = 0.75
     optimize_step: float = 1e-3
     workers: int = 1
 
@@ -133,14 +139,13 @@ class SweepSpec:
             raise ValueError("workers must be >= 1")
         if not 0.0 < self.optimize_step <= 0.5:
             raise ValueError("optimize_step out of range")
-        # positive comparisons, so a NaN tolerance is rejected too
-        if not 0.0 <= self.mc_coverage_min <= 1.0:
-            raise ValueError(f"mc_coverage_min must lie in [0, 1], got {self.mc_coverage_min}")
-        if not self.tol_prob >= 0.0:
-            raise ValueError(f"tol_prob must be >= 0, got {self.tol_prob}")
-        for name in ("tol_mean", "oracle_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.optimize_step < MIN_OPTIMIZE_STEP:
+            raise ValueError(
+                f"optimize_step {self.optimize_step:g} is below {MIN_OPTIMIZE_STEP:g} "
+                f"({round(1.0 / self.optimize_step)} grid points per probe)"
+            )
+        if not (isinstance(self.truncation, int) and 2 <= self.truncation <= MAX_TRUNCATION):
+            raise ValueError(f"truncation must be an integer in 2..{MAX_TRUNCATION}, got {self.truncation!r}")
         for name in _EXPERIMENTS[self.experiment]:
             if name.endswith("_values") and not getattr(self, name):
                 raise ValueError(f"{self.experiment} needs a nonempty {name} grid")
@@ -228,14 +233,8 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("replications", "sim", "replications", "--replications", _int,
             "Monte Carlo replications per point"),
     Setting("workers", "sim", "workers", "--workers", _int, "thread pool size for parameter points"),
-    Setting("truncation", "oracle", "truncation", "--truncation", _int, "oracle truncation age"),
-    Setting("max_truncation", "oracle", "max_truncation", "--max-truncation", _int,
-            "largest truncation the compare oracle may adapt to"),
-    Setting("oracle_tol", "oracle", "tol", "--oracle-tol", _float, "oracle power-iteration tolerance"),
-    Setting("tol_mean", "tolerances", "mean", "--tol-mean", _float, "closed-vs-oracle mean tolerance"),
-    Setting("tol_prob", "tolerances", "prob", "--tol-prob", _float, "closed-vs-oracle probability tolerance"),
-    Setting("mc_coverage_min", "tolerances", "mc_coverage", "--mc-coverage", _float,
-            "required fraction of CI-covered points"),
+    Setting("truncation", "oracle", "truncation", "--truncation", _int,
+            "smallest oracle truncation age (raised per point to meet the mean tolerance)"),
     Setting("optimize_step", "tolerances", "optimize_step", "--step", _float, "optimize grid-search step"),
 )
 _BY_CONFIG_KEY = {(s.section, s.key): s for s in SETTINGS}
@@ -375,7 +374,7 @@ def _closed_form_leg(spec, index, params, policy, threshold, measured, truncatio
 
 
 def _oracle_leg(spec, index, params, policy, threshold, measured, truncation) -> Leg:
-    solution = steady_state(build_truncated_chain(params, policy, truncation), tol=spec.oracle_tol)
+    solution = steady_state(build_truncated_chain(params, policy, truncation))
     report = oracle_metrics(solution, threshold, measured)
     return Leg(
         report.average_secrecy_age,
@@ -405,21 +404,39 @@ _LEGS: dict[str, Callable[..., Leg]] = {
 }
 
 
+def _oracle_truncation(spec: SweepSpec, p: float, q: float, ptx: float) -> Optional[int]:
+    """The oracle's truncation at one point (None without an oracle leg):
+    spec.truncation, raised to what the mean tolerance demands. A demand
+    beyond MAX_TRUNCATION is an error rather than a silently loose oracle.
+    Runners settle every point's truncation before any leg runs, so an
+    unmeetable demand costs no work."""
+    if "oracle" not in spec.methods:
+        return None
+    if q == 0.0:
+        return spec.truncation
+    needed = truncation_for_mean_tol(ChannelParams(p=p, q=q), Policy(p_tx=ptx), TOL_MEAN / 10.0)
+    if needed > MAX_TRUNCATION:
+        raise ValueError(
+            f"mean tolerance {TOL_MEAN:g} needs truncation {needed} "
+            f"> MAX_TRUNCATION {MAX_TRUNCATION} at p={p} q={q} p_tx={ptx}"
+        )
+    return max(spec.truncation, needed)
+
+
 def _run_legs(
     spec: SweepSpec,
     index: int,
     params: ChannelParams,
     policy: Policy,
+    truncation: Optional[int],
     threshold: SecrecyThreshold | None = None,
     measured: OutageConvention | None = None,
-    truncation: int | None = None,
 ) -> dict[str, Leg]:
-    """Every requested method at row `index`, in spec order. The oracle and
-    Monte Carlo legs estimate the event of convention `measured`
-    (spec.convention unless given); the oracle runs at `truncation`
-    (spec.truncation unless given); Monte Carlo seeds from the row index."""
+    """Every requested method at row `index`, in spec order. The oracle runs
+    at `truncation` (from _oracle_truncation); the oracle and Monte Carlo
+    legs estimate the event of convention `measured` (spec.convention unless
+    given); Monte Carlo seeds from the row index."""
     measured = measured or spec.convention
-    truncation = truncation or spec.truncation
     return {m: _LEGS[m](spec, index, params, policy, threshold, measured, truncation) for m in spec.methods}
 
 
@@ -438,10 +455,11 @@ def run_fig1_sweep(spec: SweepSpec) -> SweepResult:
                     log.warning("fig1: skipping q=%g ratio=%g: p=%g exceeds 1", q, ratio, p)
                     continue
                 points.append((q, ptx, ratio, min(p, 1.0)))
+    truncations = [_oracle_truncation(spec, p, q, ptx) for q, ptx, _, p in points]
 
     def evaluate(indexed):
         index, (q, ptx, ratio, p) = indexed
-        legs = _run_legs(spec, index, ChannelParams(p=p, q=q), Policy(p_tx=ptx))
+        legs = _run_legs(spec, index, ChannelParams(p=p, q=q), Policy(p_tx=ptx), truncations[index])
         return [q, ptx, ratio, p] + [leg.mean for leg in legs.values()]
 
     rows = _ordered_map(evaluate, list(enumerate(points)), spec.workers)
@@ -465,11 +483,12 @@ def run_fig2_sweep(spec: SweepSpec) -> SweepResult:
                 curve_points.append((q, eta, ptx, 0))
             star = optimal_ptx(q, SecrecyThreshold(eta), spec.convention)
             curve_points.append((q, eta, star, 1))
+    truncations = [_oracle_truncation(spec, p, q, ptx) for q, _, ptx, _ in curve_points]
 
     def evaluate(indexed):
         index, (q, eta, ptx, starred) = indexed
         policy = Policy(p_tx=ptx)
-        legs = _run_legs(spec, index, ChannelParams(p=p, q=q), policy, SecrecyThreshold(eta))
+        legs = _run_legs(spec, index, ChannelParams(p=p, q=q), policy, truncations[index], SecrecyThreshold(eta))
         objectives = [policy.p_tx * (1.0 - leg.outage) for leg in legs.values()]
         return [p, q, eta, ptx, *objectives, spec.convention.value, starred]
 
@@ -498,22 +517,6 @@ _COMPARE_HEADER = [
 _ABSENT = Leg(None, outage_bound=None)  # a method not requested: empty cells
 
 
-def _compare_truncation(spec: SweepSpec, params: ChannelParams, policy: Policy) -> int:
-    """The compare oracle's truncation: spec.truncation, raised to what the
-    mean tolerance demands. A demand beyond max_truncation is an error rather
-    than a silently loose oracle."""
-    if params.q == 0.0:
-        return spec.truncation
-    needed = truncation_for_mean_tol(params, policy, spec.tol_mean / 10.0)
-    if needed > spec.max_truncation:
-        raise ValueError(
-            f"mean tolerance {spec.tol_mean:g} needs truncation {needed} "
-            f"> max_truncation {spec.max_truncation} at p={params.p} q={params.q} "
-            f"p_tx={policy.p_tx}"
-        )
-    return max(spec.truncation, needed)
-
-
 def run_compare(spec: SweepSpec) -> SweepResult:
     """Cross-validate the requested methods point by point.
 
@@ -522,21 +525,17 @@ def run_compare(spec: SweepSpec) -> SweepResult:
     outage is the eta_th - 1 event, so those points are expected to sit one
     pmf step away; they are marked mismatch_expected and the offset itself is
     checked, which is a pass, not a failure. Exit code 1 on any tolerance or
-    coverage failure. Every point's oracle truncation is settled before any
-    leg runs, so an unmeetable mean tolerance costs no work.
+    coverage failure.
     """
     points = list(product(spec.p_values, spec.q_values, spec.ptx_values, spec.eta_values))
-    truncations = [
-        _compare_truncation(spec, ChannelParams(p=p, q=q), Policy(p_tx=ptx)) if "oracle" in spec.methods else None
-        for p, q, ptx, _ in points
-    ]
+    truncations = [_oracle_truncation(spec, p, q, ptx) for p, q, ptx, _ in points]
     strict = OutageConvention.STRICT_DEFINITION
 
     def evaluate(indexed):
         index, (p, q, ptx, eta) = indexed
         params = ChannelParams(p=p, q=q)
         policy = Policy(p_tx=ptx)
-        legs = _run_legs(spec, index, params, policy, SecrecyThreshold(eta), strict, truncations[index])
+        legs = _run_legs(spec, index, params, policy, truncations[index], SecrecyThreshold(eta), strict)
         cf, orc, mc = (legs.get(m, _ABSENT) for m in METHODS)
         failures: list[str] = []
         point = f"p={p:g} q={q:g} p_tx={ptx:g} eta={eta}"
@@ -553,10 +552,10 @@ def run_compare(spec: SweepSpec) -> SweepResult:
             mean_diff = abs(cf.mean - orc.mean) if math.isfinite(cf.mean) else (
                 0.0 if cf.mean == orc.mean else math.inf
             )
-            if mean_diff > spec.tol_mean:
-                failures.append(f"{point}: |mean closed-oracle| = {mean_diff:.3e} > {spec.tol_mean:g}")
+            if mean_diff > TOL_MEAN:
+                failures.append(f"{point}: |mean closed-oracle| = {mean_diff:.3e} > {TOL_MEAN:g}")
             out_diff = abs(orc.outage - cf.outage)
-            allowed = spec.tol_prob + orc.outage_bound
+            allowed = TOL_PROB + orc.outage_bound
             if abs(out_diff - offset) > allowed:
                 failures.append(
                     f"{point}: outage closed-vs-oracle off by {out_diff:.3e}, "
@@ -588,9 +587,9 @@ def run_compare(spec: SweepSpec) -> SweepResult:
         if observed:
             fraction = sum(observed) / len(observed)
             lines.append(f"compare: {label} CI covered {sum(observed)}/{len(observed)} points")
-            if fraction < spec.mc_coverage_min:
+            if fraction < MC_COVERAGE_MIN:
                 failures.append(
-                    f"{label} CI coverage {fraction:.3f} below required {spec.mc_coverage_min:g}"
+                    f"{label} CI coverage {fraction:.3f} below required {MC_COVERAGE_MIN:g}"
                 )
     lines.extend(failures)
     verdict = "PASS" if not failures else "FAIL"

@@ -20,7 +20,6 @@ from aoi_secrecy.analytics import (
     average_secrecy_age,
     closed_form_report,
     col_sum,
-    geometric_power,
     objective,
     optimal_ptx,
     outage_event,
@@ -268,22 +267,6 @@ class TestObjectiveAndOptimizer:
         for p in (0.3, 0.8):
             vals = [objective(ChannelParams(p, 0.2), Policy(x), thr) for x in grid]
             assert grid[int(np.argmax(vals))] == pytest.approx(star, abs=1e-3 + 1e-12)
-
-
-class TestGeometricPower:
-    def test_matches_pow_at_moderate_exponent(self):
-        assert geometric_power(0.97, 513) == pytest.approx(0.97**513, rel=1e-12)
-        assert geometric_power(0.5, 0) == 1.0
-        assert geometric_power(0.0, 3) == 0.0
-        with pytest.raises(ValueError):
-            geometric_power(0.5, -1)
-
-    def test_huge_exponent_goes_through_logs(self):
-        # (1 - 1e-9)^{1e7} is about exp(-0.01); plain pow keeps it to ~1e-9
-        # relative, so no log-domain detour is needed
-        val = geometric_power(1.0 - 1e-9, 10**7)
-        assert val == pytest.approx(math.exp(-0.01), rel=1e-8)
-        assert 0.0 < val < 1.0
 
 
 class TestClosedFormReport:

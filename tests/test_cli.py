@@ -54,9 +54,6 @@ replications = 3
 
 [oracle]
 truncation = 150
-
-[tolerances]
-mean = 1e-5
 """
 
 
@@ -79,7 +76,6 @@ class TestConfigLoading:
         assert overrides["eta_values"] == (5,)
         assert overrides["horizon"] == 9000
         assert overrides["truncation"] == 150
-        assert overrides["tol_mean"] == 1e-5
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "run.json"
@@ -144,11 +140,6 @@ SAMPLE_VALUES = {
     "replications": "5",
     "workers": "3",
     "truncation": "321",
-    "max_truncation": "999",
-    "oracle_tol": "1e-10",
-    "tol_mean": "2e-6",
-    "tol_prob": "3e-9",
-    "mc_coverage_min": "0.5",
     "optimize_step": "0.01",
 }
 
@@ -203,6 +194,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(experiment="optimize", q_values=(0.2,), eta_values=(2,),
                       p_values=(0.5,), optimize_step=0.0)
+        # a step below 1e-6 costs minutes per run and resolves nothing finer
+        with pytest.raises(ValueError, match="10000000 grid points"):
+            SweepSpec(experiment="optimize", q_values=(0.2,), eta_values=(2,),
+                      p_values=(0.5,), optimize_step=1e-7)
 
 
 class TestFig1Command:
@@ -222,6 +217,26 @@ class TestFig1Command:
         for row in rows:
             assert float(row["p"]) == pytest.approx(float(row["q"]) * float(row["ratio"]), abs=1e-9)
             assert float(row["avg_secrecy_age_closed_form"]) > 0.0
+
+    def test_oracle_truncation_raised_to_meet_mean_tolerance(self, tmp_path):
+        # --truncation is a floor: at N=60 the oracle mean is 0.018 low, so
+        # the leg runs at the N the mean tolerance needs, as compare does
+        out = tmp_path / "fig1.csv"
+        code = main([
+            "fig1", "--methods", "closed_form,oracle", "--q", "0.2", "--ptx", "0.5",
+            "--ratio", "2", "--truncation", "60", "--out", str(out),
+        ])
+        assert code == 0
+        (row,) = read_csv(out)
+        closed = float(row["avg_secrecy_age_closed_form"])
+        assert float(row["avg_secrecy_age_oracle"]) == pytest.approx(closed, abs=1e-6)
+
+    def test_unmeetable_oracle_point_rejected_before_any_leg(self, monkeypatch, capsys):
+        # q=0.01 at p_tx=0.5 needs N=4273, above MAX_TRUNCATION
+        monkeypatch.setitem(sweeps._LEGS, "closed_form", lambda *a: pytest.fail("a leg ran"))
+        code = main(["fig1", "--methods", "closed_form,oracle", "--q", "0.2,0.01", "--ptx", "0.5", "--ratio", "2"])
+        assert code == 2
+        assert "needs truncation 4273 > MAX_TRUNCATION 4000" in capsys.readouterr().err
 
     def test_default_out_path_in_cwd(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -300,8 +315,8 @@ class TestCompareCommand:
             assert row["outage_ci_covers"] == ""
 
     def test_unmeetable_mean_tolerance_rejected_before_any_leg(self, monkeypatch):
-        # q=0.5 needs N of about 250 and fits under the cap; q=0.2 needs about
-        # 700 and does not. The run is a ValueError (CLI exit 2), raised before
+        # q=0.5 needs N=61 and fits under MAX_TRUNCATION; q=0.01 needs 4273
+        # and does not. The run is a ValueError (CLI exit 2), raised before
         # the feasible first point runs any leg.
         calls = []
         real_estimate = sweeps.estimate
@@ -309,11 +324,10 @@ class TestCompareCommand:
         spec = make_spec(
             "compare", None,
             methods=("closed_form", "oracle", "monte_carlo"),
-            p_values=(0.8,), q_values=(0.5, 0.2), ptx_values=(0.5,), eta_values=(5,),
-            horizon=2000, burn_in=100, replications=2,
-            truncation=60, max_truncation=300, tol_mean=1e-30,
+            p_values=(0.8,), q_values=(0.5, 0.01), ptx_values=(0.5,), eta_values=(5,),
+            horizon=2000, burn_in=100, replications=2, truncation=60,
         )
-        with pytest.raises(ValueError, match="max_truncation"):
+        with pytest.raises(ValueError, match="MAX_TRUNCATION"):
             run_compare(spec)
         assert calls == []
 
@@ -324,7 +338,7 @@ class TestCompareCommand:
             "compare", None,
             methods=("closed_form", "oracle"),
             p_values=(0.8,), q_values=(0.2,), ptx_values=(0.5,), eta_values=(5,),
-            truncation=40, max_truncation=4000, tol_mean=1e-6,
+            truncation=40,
         )
         result = run_compare(spec)
         assert result.exit_code == 0
@@ -372,7 +386,7 @@ class TestErrorPaths:
         ("no_section.ini", "q = 0.2\n"),
         ("fractional_int.json", '{"sim": {"horizon": 20000.9}}'),
         ("boolean_int.json", '{"sim": {"horizon": true}}'),
-        ("null_value.json", '{"oracle": {"tol": null}}'),
+        ("null_value.json", '{"oracle": {"truncation": null}}'),
         ("boolean_float.json", '{"fig2": {"p_fixed": true}}'),
         ("boolean_grid.json", '{"grid": {"q": [true]}}'),
     ])
@@ -385,6 +399,8 @@ class TestErrorPaths:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
+        # the check tolerances and the oracle cap are constants: argparse
+        # refuses their former flags whatever the value
         ("--mc-coverage", "nan"),
         ("--mc-coverage", "2"),
         ("--mc-coverage", "-0.1"),
@@ -394,10 +410,31 @@ class TestErrorPaths:
         ("--tol-mean", "0"),
         ("--oracle-tol", "nan"),
         ("--oracle-tol", "0"),
+        ("--max-truncation", "4000"),
+        # outside 2..MAX_TRUNCATION, rejected before any leg runs
+        ("--truncation", "1"),
+        ("--truncation", "4001"),
     ])
     def test_bad_tolerance_rejected(self, capsys, flag, value):
-        assert main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value]) == 2
+        try:
+            code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value])
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [
+        ("oracle", "tol"),
+        ("oracle", "max_truncation"),
+        ("tolerances", "mean"),
+        ("tolerances", "prob"),
+        ("tolerances", "mc_coverage"),
+    ])
+    def test_removed_config_key_rejected(self, tmp_path, capsys, section, key):
+        path = tmp_path / "old.ini"
+        path.write_text(f"[{section}]\n{key} = 0.5\n")
+        assert main(["compare", "--config", str(path)]) == 2
+        assert f"unknown config entry [{section}] {key}" in capsys.readouterr().err
 
     def test_config_for_another_experiment(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
@@ -433,6 +470,14 @@ def test_golden_bytes(tmp_path, name, argv):
     out = tmp_path / f"{name}.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").iterdir()), ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    # shipped configs are named <experiment>_<variant>
+    experiment = path.name.split("_")[0]
+    spec = make_spec(experiment, load_config(str(path)))
+    assert spec.experiment == experiment
 
 
 def test_float_formatting():

@@ -250,9 +250,6 @@ class TestTruncationSizing:
             assert (1 - r_e) ** n / r_e <= tol
             assert (1 - r_e) ** (n - 1) / r_e > tol
 
-    def test_minimum_respected(self):
-        assert truncation_for_mean_tol(ChannelParams(0.8, 1.0), Policy(1.0), 0.5, minimum=64) == 64
-
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             truncation_for_mean_tol(ChannelParams(0.8, 0.0), HALF, 1e-6)
