@@ -73,7 +73,8 @@ class SecrecyReport:
     carry the convention label they were evaluated under and the realized
     event index k, meaning the reported number is Pr(secrecy age <= k).
     Error bounds are rigorous truncation bounds where the route has any
-    (the oracle), zero for exact routes.
+    (the oracle, which also records its truncation N), zero otherwise.
+    Monte Carlo carries 95% half-widths instead (None from one replication).
     """
 
     provenance: str
@@ -83,6 +84,9 @@ class SecrecyReport:
     convention: Optional[str] = None
     mean_error_bound: float = 0.0
     outage_error_bound: float = 0.0
+    mean_halfwidth: Optional[float] = None
+    outage_halfwidth: Optional[float] = None
+    truncation: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.provenance not in ("closed_form", "oracle", "monte_carlo"):

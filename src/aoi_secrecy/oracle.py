@@ -277,4 +277,5 @@ def oracle_metrics(
         convention=label,
         mean_error_bound=mean_bound,
         outage_error_bound=out_bound,
+        truncation=n,
     )

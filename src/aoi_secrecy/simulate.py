@@ -55,11 +55,11 @@ class SimConfig:
         if not (isinstance(self.burn_in, int) and self.burn_in >= 0):
             raise ValueError(f"burn_in must be an integer >= 0, got {self.burn_in!r}")
         if self.burn_in >= self.horizon:
-            raise ValueError("burn_in must be smaller than horizon")
+            raise ValueError(f"burn_in {self.burn_in} must be smaller than horizon {self.horizon}")
         if not (isinstance(self.replications, int) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
         if not (isinstance(self.base_seed, int) and 0 <= self.base_seed < 2**64):
-            raise ValueError("base_seed must fit an unsigned 64-bit integer")
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.base_seed!r}")
         if self.burn_in + self.horizon >= _MAX_SLOTS:
             raise ValueError("burn_in + horizon too large: age counters could overflow")
 

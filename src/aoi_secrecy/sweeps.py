@@ -25,13 +25,12 @@ import numpy as np
 from .analytics import (
     DEFAULT_CONVENTION,
     OutageConvention,
-    average_secrecy_age,
+    closed_form_report,
     objective,
     optimal_ptx,
-    outage_probability,
     secrecy_gap_pmf,
 )
-from .model import ChannelParams, Policy, SecrecyThreshold
+from .model import ChannelParams, Policy, SecrecyReport, SecrecyThreshold
 from .oracle import build_truncated_chain, oracle_metrics, steady_state, truncation_for_mean_tol
 from .simulate import (
     DEFAULT_BURN_IN,
@@ -58,6 +57,10 @@ TOL_PROB = 1e-9
 MC_COVERAGE_MIN = 0.75
 # largest oracle truncation any run may use or adapt to
 MAX_TRUNCATION = 4000
+# smallest oracle truncation: at fast-mixing points the mean tolerance alone
+# asks for a few dozen states, and this floor keeps the outage bound
+# (1 - p_tx q)^N, which widens compare's outage check, negligible there
+MIN_TRUNCATION = 400
 # finest optimize grid: one objective call takes about 2 us, so the default
 # 64 probes at this step already take minutes
 MIN_OPTIMIZE_STEP = 1e-6
@@ -75,6 +78,7 @@ _EXPERIMENTS: dict[str, dict[str, Any]] = {
         "q_values": (0.2, 0.4),
         "eta_values": (5, 10),
         "ptx_values": tuple(round(0.05 * k, 2) for k in range(1, 21)),
+        "p_values": (0.8,),
     },
     "compare": {
         "methods": METHODS,
@@ -95,8 +99,9 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 @dataclass(frozen=True)
 class SweepSpec:
     """Everything one experiment run depends on. Grids are used per kind:
-    fig1 reads q/ptx/ratio, fig2 reads q/eta/ptx with p fixed, compare reads
-    p/q/ptx/eta, optimize reads q/eta with p only probing invariance."""
+    fig1 reads q/ptx/ratio, fig2 reads p/q/eta/ptx, compare reads
+    p/q/ptx/eta, optimize reads q/eta with p only probing invariance.
+    Methods are kept in METHODS order, duplicates collapsed."""
 
     experiment: str
     methods: tuple[str, ...] = ("closed_form",)
@@ -108,19 +113,28 @@ class SweepSpec:
     ptx_values: tuple[float, ...] = ()
     ratio_values: tuple[float, ...] = ()
     eta_values: tuple[int, ...] = ()
-    p_fixed: float = 0.8
     horizon: int = DEFAULT_HORIZON
     burn_in: int = DEFAULT_BURN_IN
     replications: int = DEFAULT_REPLICATIONS
-    truncation: int = 400
     optimize_step: float = 1e-3
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if not self.methods or any(m not in METHODS for m in self.methods):
-            raise ValueError(f"methods must be a nonempty subset of {METHODS}")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+        object.__setattr__(self, "methods", tuple(m for m in METHODS if m in self.methods))
+        if not self.methods:
+            raise ValueError("methods must be nonempty")
+        if self.experiment == "compare" and len(self.methods) < 2:
+            raise ValueError("compare needs at least two methods listed")
+        # the simulation settings pass SimConfig's checks before any leg runs
+        SimConfig(self.horizon, self.burn_in, self.replications, base_seed=self.seed)
+        # compare judges Monte Carlo by its half-widths, which need two replications
+        if self.experiment == "compare" and "monte_carlo" in self.methods and self.replications < 2:
+            raise ValueError(f"compare with monte_carlo needs replications >= 2, got {self.replications}")
         for name, values, low, high in (
             ("p", self.p_values, 0.0, 1.0),
             ("q", self.q_values, 0.0, 1.0),
@@ -133,8 +147,6 @@ class SweepSpec:
             raise ValueError("ratio grid values must be positive")
         if any(not (isinstance(e, int) and e >= 1) for e in self.eta_values):
             raise ValueError("eta grid values must be integers >= 1")
-        if not 0.0 <= self.p_fixed <= 1.0:
-            raise ValueError("p_fixed out of range")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not 0.0 < self.optimize_step <= 0.5:
@@ -144,8 +156,6 @@ class SweepSpec:
                 f"optimize_step {self.optimize_step:g} is below {MIN_OPTIMIZE_STEP:g} "
                 f"({round(1.0 / self.optimize_step)} grid points per probe)"
             )
-        if not (isinstance(self.truncation, int) and 2 <= self.truncation <= MAX_TRUNCATION):
-            raise ValueError(f"truncation must be an integer in 2..{MAX_TRUNCATION}, got {self.truncation!r}")
         for name in _EXPERIMENTS[self.experiment]:
             if name.endswith("_values") and not getattr(self, name):
                 raise ValueError(f"{self.experiment} needs a nonempty {name} grid")
@@ -227,14 +237,11 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("ptx_values", "grid", "ptx", "--ptx", _floats, "comma list of p_tx values"),
     Setting("ratio_values", "grid", "ratio", "--ratio", _floats, "comma list of p/q ratios"),
     Setting("eta_values", "grid", "eta", "--eta", _ints, "comma list of thresholds"),
-    Setting("p_fixed", "fig2", "p_fixed", "--p-fixed", _float, "the fixed p of the fig2 sweep"),
     Setting("horizon", "sim", "horizon", "--horizon", _int, "slots per replication"),
     Setting("burn_in", "sim", "burn_in", "--burn-in", _int, "slots discarded per replication"),
     Setting("replications", "sim", "replications", "--replications", _int,
             "Monte Carlo replications per point"),
     Setting("workers", "sim", "workers", "--workers", _int, "thread pool size for parameter points"),
-    Setting("truncation", "oracle", "truncation", "--truncation", _int,
-            "smallest oracle truncation age (raised per point to meet the mean tolerance)"),
     Setting("optimize_step", "tolerances", "optimize_step", "--step", _float, "optimize grid-search step"),
 )
 _BY_CONFIG_KEY = {(s.section, s.key): s for s in SETTINGS}
@@ -277,7 +284,7 @@ def load_config(path: str) -> dict[str, Any]:
 
 
 def make_spec(experiment: str, config: dict[str, Any] | None = None, **cli_overrides: Any) -> SweepSpec:
-    """defaults <- config file <- CLI flags, with normalization at the end."""
+    """defaults <- config file <- CLI flags; SweepSpec checks the result."""
     merged: dict[str, Any] = {}
     if config:
         merged.update(config)
@@ -287,16 +294,6 @@ def make_spec(experiment: str, config: dict[str, Any] | None = None, **cli_overr
     kind = merged.pop("experiment", experiment)
     if kind != experiment:
         raise ValueError(f"config is for experiment {kind!r}, not {experiment!r}")
-    raw_methods = merged.get("methods")
-    if raw_methods is not None:
-        raw_methods = tuple(raw_methods)
-        if experiment == "compare" and len(raw_methods) < 2:
-            raise ValueError("compare needs at least two methods listed")
-        unknown = [m for m in raw_methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
-        # canonical order, duplicates collapsed
-        merged["methods"] = tuple(m for m in METHODS if m in raw_methods)
     return replace(default_spec(experiment), **merged)
 
 
@@ -350,41 +347,20 @@ def _maybe_write(spec: SweepSpec, result: SweepResult) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# method legs: one function per name in METHODS, one record per point
+# method legs: one function per name in METHODS, each returning its route's
+# SecrecyReport for one point
 
-@dataclass(frozen=True)
-class Leg:
-    """One method's numbers at one point. Outages are None without a
-    threshold; Monte Carlo fills the half-widths, the oracle its truncation
-    and outage error bound."""
-
-    mean: float
-    outage: Optional[float] = None
-    mean_halfwidth: Optional[float] = None
-    outage_halfwidth: Optional[float] = None
-    outage_bound: float = 0.0
-    truncation: Optional[int] = None
-
-
-def _closed_form_leg(spec, index, params, policy, threshold, measured, truncation) -> Leg:
+def _closed_form_leg(spec, index, params, policy, threshold, measured, truncation) -> SecrecyReport:
     """Always labeled with spec.convention: the closed form is what the
     printed convention changes, so it never switches to `measured`."""
-    outage = None if threshold is None else outage_probability(params, policy, threshold, spec.convention)
-    return Leg(average_secrecy_age(params, policy), outage)
+    return closed_form_report(params, policy, threshold, spec.convention)
 
 
-def _oracle_leg(spec, index, params, policy, threshold, measured, truncation) -> Leg:
-    solution = steady_state(build_truncated_chain(params, policy, truncation))
-    report = oracle_metrics(solution, threshold, measured)
-    return Leg(
-        report.average_secrecy_age,
-        report.outage_probability,
-        outage_bound=report.outage_error_bound,
-        truncation=solution.chain.truncation,
-    )
+def _oracle_leg(spec, index, params, policy, threshold, measured, truncation) -> SecrecyReport:
+    return oracle_metrics(steady_state(build_truncated_chain(params, policy, truncation)), threshold, measured)
 
 
-def _monte_carlo_leg(spec, index, params, policy, threshold, measured, truncation) -> Leg:
+def _monte_carlo_leg(spec, index, params, policy, threshold, measured, truncation) -> SecrecyReport:
     config = SimConfig(
         horizon=spec.horizon,
         burn_in=spec.burn_in,
@@ -394,10 +370,18 @@ def _monte_carlo_leg(spec, index, params, policy, threshold, measured, truncatio
     )
     # replications stay serial here; parallelism is across parameter points
     est = estimate(params, policy, config, convention=measured, workers=1)
-    return Leg(est.mean_secrecy_age, est.outage_estimate, est.mean_halfwidth, est.outage_halfwidth)
+    return SecrecyReport(
+        "monte_carlo",
+        est.mean_secrecy_age,
+        est.outage_estimate,
+        est.outage_event,
+        None if threshold is None else measured.value,
+        mean_halfwidth=est.mean_halfwidth,
+        outage_halfwidth=est.outage_halfwidth,
+    )
 
 
-_LEGS: dict[str, Callable[..., Leg]] = {
+_LEGS: dict[str, Callable[..., SecrecyReport]] = {
     "closed_form": _closed_form_leg,
     "oracle": _oracle_leg,
     "monte_carlo": _monte_carlo_leg,
@@ -406,38 +390,48 @@ _LEGS: dict[str, Callable[..., Leg]] = {
 
 def _oracle_truncation(spec: SweepSpec, p: float, q: float, ptx: float) -> Optional[int]:
     """The oracle's truncation at one point (None without an oracle leg):
-    spec.truncation, raised to what the mean tolerance demands. A demand
-    beyond MAX_TRUNCATION is an error rather than a silently loose oracle.
-    Runners settle every point's truncation before any leg runs, so an
-    unmeetable demand costs no work."""
+    MIN_TRUNCATION, raised to what the mean tolerance demands. A demand
+    beyond MAX_TRUNCATION is an error rather than a silently loose oracle."""
     if "oracle" not in spec.methods:
         return None
     if q == 0.0:
-        return spec.truncation
+        return MIN_TRUNCATION
     needed = truncation_for_mean_tol(ChannelParams(p=p, q=q), Policy(p_tx=ptx), TOL_MEAN / 10.0)
     if needed > MAX_TRUNCATION:
         raise ValueError(
             f"mean tolerance {TOL_MEAN:g} needs truncation {needed} "
             f"> MAX_TRUNCATION {MAX_TRUNCATION} at p={p} q={q} p_tx={ptx}"
         )
-    return max(spec.truncation, needed)
+    return max(MIN_TRUNCATION, needed)
 
 
-def _run_legs(
+def _evaluate(
     spec: SweepSpec,
-    index: int,
-    params: ChannelParams,
-    policy: Policy,
-    truncation: Optional[int],
-    threshold: SecrecyThreshold | None = None,
+    points: Sequence[tuple],
+    row: Callable[[tuple, dict[str, SecrecyReport]], Any],
     measured: OutageConvention | None = None,
-) -> dict[str, Leg]:
-    """Every requested method at row `index`, in spec order. The oracle runs
-    at `truncation` (from _oracle_truncation); the oracle and Monte Carlo
-    legs estimate the event of convention `measured` (spec.convention unless
-    given); Monte Carlo seeds from the row index."""
+) -> list[Any]:
+    """row(point, reports) for every point, in grid order, where reports maps
+    each requested method to its SecrecyReport. A point starts
+    (p, q, p_tx, eta or None); anything after that is the runner's own.
+    Every oracle truncation is settled before any leg runs, so an unmeetable
+    demand costs no work. The oracle and Monte Carlo legs estimate the event
+    of convention `measured` (spec.convention unless given); Monte Carlo
+    seeds from the point's index, so results do not depend on the worker count."""
     measured = measured or spec.convention
-    return {m: _LEGS[m](spec, index, params, policy, threshold, measured, truncation) for m in spec.methods}
+    truncations = [_oracle_truncation(spec, p, q, ptx) for p, q, ptx, *_ in points]
+
+    def evaluate(index: int) -> Any:
+        p, q, ptx, eta = points[index][:4]
+        params, policy = ChannelParams(p=p, q=q), Policy(p_tx=ptx)
+        threshold = None if eta is None else SecrecyThreshold(eta)
+        reports = {
+            m: _LEGS[m](spec, index, params, policy, threshold, measured, truncations[index])
+            for m in spec.methods
+        }
+        return row(points[index], reports)
+
+    return _ordered_map(evaluate, range(len(points)), spec.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +440,7 @@ def _run_legs(
 def run_fig1_sweep(spec: SweepSpec) -> SweepResult:
     """Rows (q, p_tx, ratio, p) with one mean column per method. Points with
     p = ratio * q above 1 are skipped and logged."""
-    points = []
+    points = []  # (p, q, p_tx, None, ratio)
     for q in spec.q_values:
         for ptx in spec.ptx_values:
             for ratio in spec.ratio_values:
@@ -454,15 +448,13 @@ def run_fig1_sweep(spec: SweepSpec) -> SweepResult:
                 if p > 1.0 + 1e-9:
                     log.warning("fig1: skipping q=%g ratio=%g: p=%g exceeds 1", q, ratio, p)
                     continue
-                points.append((q, ptx, ratio, min(p, 1.0)))
-    truncations = [_oracle_truncation(spec, p, q, ptx) for q, ptx, _, p in points]
+                points.append((min(p, 1.0), q, ptx, None, ratio))
 
-    def evaluate(indexed):
-        index, (q, ptx, ratio, p) = indexed
-        legs = _run_legs(spec, index, ChannelParams(p=p, q=q), Policy(p_tx=ptx), truncations[index])
-        return [q, ptx, ratio, p] + [leg.mean for leg in legs.values()]
+    def row(point, reports):
+        p, q, ptx, _, ratio = point
+        return [q, ptx, ratio, p] + [r.average_secrecy_age for r in reports.values()]
 
-    rows = _ordered_map(evaluate, list(enumerate(points)), spec.workers)
+    rows = _evaluate(spec, points, row)
     header = ["q", "p_tx", "ratio", "p"] + [f"avg_secrecy_age_{m}" for m in spec.methods]
     summary = f"fig1: {len(rows)} rows ({len(spec.methods)} method column(s))"
     return _maybe_write(spec, SweepResult(header, rows, summary))
@@ -472,34 +464,30 @@ def run_fig1_sweep(spec: SweepSpec) -> SweepResult:
 # fig2: objective versus transmit probability, one starred row per curve
 
 def run_fig2_sweep(spec: SweepSpec) -> SweepResult:
-    """Objective curves at fixed p. Oracle and Monte Carlo legs evaluate the
-    convention-adjusted threshold event so all method columns estimate the
-    same quantity; the starred row sits at the closed-form optimum."""
-    p = spec.p_fixed
-    curve_points: list[tuple[float, int, float, int]] = []  # (q, eta, ptx, starred)
-    for q in spec.q_values:
-        for eta in spec.eta_values:
-            for ptx in spec.ptx_values:
-                curve_points.append((q, eta, ptx, 0))
-            star = optimal_ptx(q, SecrecyThreshold(eta), spec.convention)
-            curve_points.append((q, eta, star, 1))
-    truncations = [_oracle_truncation(spec, p, q, ptx) for q, _, ptx, _ in curve_points]
+    """Objective curves, one per (p, q, eta). Oracle and Monte Carlo legs
+    evaluate the convention-adjusted threshold event so all method columns
+    estimate the same quantity; the starred row sits at the closed-form
+    optimum."""
+    points = []  # (p, q, p_tx, eta, starred)
+    for p in spec.p_values:
+        for q in spec.q_values:
+            for eta in spec.eta_values:
+                points.extend((p, q, ptx, eta, 0) for ptx in spec.ptx_values)
+                points.append((p, q, optimal_ptx(q, SecrecyThreshold(eta), spec.convention), eta, 1))
 
-    def evaluate(indexed):
-        index, (q, eta, ptx, starred) = indexed
-        policy = Policy(p_tx=ptx)
-        legs = _run_legs(spec, index, ChannelParams(p=p, q=q), policy, truncations[index], SecrecyThreshold(eta))
-        objectives = [policy.p_tx * (1.0 - leg.outage) for leg in legs.values()]
+    def row(point, reports):
+        p, q, ptx, eta, starred = point
+        objectives = [ptx * (1.0 - r.outage_probability) for r in reports.values()]
         return [p, q, eta, ptx, *objectives, spec.convention.value, starred]
 
-    rows = _ordered_map(evaluate, list(enumerate(curve_points)), spec.workers)
+    rows = _evaluate(spec, points, row)
     header = (
         ["p", "q", "eta_th", "p_tx"]
         + [f"objective_{m}" for m in spec.methods]
         + ["convention", "starred"]
     )
-    n_curves = len(spec.q_values) * len(spec.eta_values)
-    summary = f"fig2: {len(rows)} rows over {n_curves} curves at p={p:g}"
+    n_curves = len(spec.p_values) * len(spec.q_values) * len(spec.eta_values)
+    summary = f"fig2: {len(rows)} rows over {n_curves} curves at p={','.join(f'{p:g}' for p in spec.p_values)}"
     return _maybe_write(spec, SweepResult(header, rows, summary))
 
 
@@ -514,7 +502,6 @@ _COMPARE_HEADER = [
     "outage_monte_carlo", "outage_mc_halfwidth", "outage_ci_covers",
     "outage_note",
 ]
-_ABSENT = Leg(None, outage_bound=None)  # a method not requested: empty cells
 
 
 def run_compare(spec: SweepSpec) -> SweepResult:
@@ -524,61 +511,58 @@ def run_compare(spec: SweepSpec) -> SweepResult:
     Pr(secrecy age <= eta_th). Under the printed convention the closed-form
     outage is the eta_th - 1 event, so those points are expected to sit one
     pmf step away; they are marked mismatch_expected and the offset itself is
-    checked, which is a pass, not a failure. Exit code 1 on any tolerance or
-    coverage failure.
+    checked, which is a pass, not a failure. A method not requested leaves
+    its cells empty. Exit code 1 on any tolerance or coverage failure.
     """
     points = list(product(spec.p_values, spec.q_values, spec.ptx_values, spec.eta_values))
-    truncations = [_oracle_truncation(spec, p, q, ptx) for p, q, ptx, _ in points]
-    strict = OutageConvention.STRICT_DEFINITION
 
-    def evaluate(indexed):
-        index, (p, q, ptx, eta) = indexed
-        params = ChannelParams(p=p, q=q)
-        policy = Policy(p_tx=ptx)
-        legs = _run_legs(spec, index, params, policy, truncations[index], SecrecyThreshold(eta), strict)
-        cf, orc, mc = (legs.get(m, _ABSENT) for m in METHODS)
+    def row(point, reports):
+        p, q, ptx, eta = point
+        cf, orc, mc = (reports.get(m) for m in METHODS)
         failures: list[str] = []
-        point = f"p={p:g} q={q:g} p_tx={ptx:g} eta={eta}"
+        where = f"p={p:g} q={q:g} p_tx={ptx:g} eta={eta}"
         mean_diff = out_diff = None
         mean_covers = out_covers = None
         note = ""
         # offset between the labeled closed form and the measured event
         offset = 0.0
         if spec.convention is OutageConvention.PAPER_PRINTED:
-            offset = secrecy_gap_pmf(eta, params, policy)
-            if cf is not _ABSENT and len(legs) > 1:
+            offset = secrecy_gap_pmf(eta, ChannelParams(p=p, q=q), Policy(p_tx=ptx))
+            if cf is not None:
                 note = "mismatch_expected"
-        if cf is not _ABSENT and orc is not _ABSENT:
-            mean_diff = abs(cf.mean - orc.mean) if math.isfinite(cf.mean) else (
-                0.0 if cf.mean == orc.mean else math.inf
+        if cf is not None and orc is not None:
+            cf_mean, orc_mean = cf.average_secrecy_age, orc.average_secrecy_age
+            mean_diff = abs(cf_mean - orc_mean) if math.isfinite(cf_mean) else (
+                0.0 if cf_mean == orc_mean else math.inf
             )
             if mean_diff > TOL_MEAN:
-                failures.append(f"{point}: |mean closed-oracle| = {mean_diff:.3e} > {TOL_MEAN:g}")
-            out_diff = abs(orc.outage - cf.outage)
-            allowed = TOL_PROB + orc.outage_bound
+                failures.append(f"{where}: |mean closed-oracle| = {mean_diff:.3e} > {TOL_MEAN:g}")
+            out_diff = abs(orc.outage_probability - cf.outage_probability)
+            allowed = TOL_PROB + orc.outage_error_bound
             if abs(out_diff - offset) > allowed:
                 failures.append(
-                    f"{point}: outage closed-vs-oracle off by {out_diff:.3e}, "
+                    f"{where}: outage closed-vs-oracle off by {out_diff:.3e}, "
                     f"expected {offset:.3e} within {allowed:.3e}"
                 )
-        if mc is not _ABSENT:
+        if mc is not None:
             # the closed form when requested, else the oracle; the closed-form
             # outage shifted by the offset is the measured event's
-            mean_ref = cf.mean if cf is not _ABSENT else orc.mean
-            out_ref = cf.outage + offset if cf is not _ABSENT else orc.outage
-            if mean_ref is not None and mc.mean_halfwidth is not None and math.isfinite(mean_ref):
-                mean_covers = int(abs(mc.mean - mean_ref) <= mc.mean_halfwidth)
-            if out_ref is not None and mc.outage_halfwidth is not None:
-                out_covers = int(abs(mc.outage - out_ref) <= mc.outage_halfwidth)
-        row = [
-            p, q, ptx, eta, spec.convention.value, orc.truncation,
-            cf.mean, orc.mean, mean_diff, mc.mean, mc.mean_halfwidth, mean_covers,
-            cf.outage, orc.outage, out_diff, mc.outage, mc.outage_halfwidth, out_covers,
+            ref = cf or orc
+            out_ref = ref.outage_probability + (offset if cf is not None else 0.0)
+            if math.isfinite(ref.average_secrecy_age):
+                mean_covers = int(abs(mc.average_secrecy_age - ref.average_secrecy_age) <= mc.mean_halfwidth)
+            out_covers = int(abs(mc.outage_probability - out_ref) <= mc.outage_halfwidth)
+        cells = [
+            p, q, ptx, eta, spec.convention.value, orc and orc.truncation,
+            cf and cf.average_secrecy_age, orc and orc.average_secrecy_age, mean_diff,
+            mc and mc.average_secrecy_age, mc and mc.mean_halfwidth, mean_covers,
+            cf and cf.outage_probability, orc and orc.outage_probability, out_diff,
+            mc and mc.outage_probability, mc and mc.outage_halfwidth, out_covers,
             note,
         ]
-        return row, failures, mean_covers, out_covers
+        return cells, failures, mean_covers, out_covers
 
-    results = _ordered_map(evaluate, list(enumerate(points)), spec.workers)
+    results = _evaluate(spec, points, row, OutageConvention.STRICT_DEFINITION)
     rows = [r[0] for r in results]
     failures = [msg for r in results for msg in r[1]]
     lines: list[str] = []

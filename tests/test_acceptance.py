@@ -310,7 +310,7 @@ def test_criterion_7_byte_identical_comparison(tmp_path, capsys):
     base_args = [
         "compare", "--p", "0.8", "--q", "0.2,0.5", "--ptx", "0.5,1.0", "--eta", "5",
         "--horizon", "50000", "--burn-in", "1000", "--replications", "4",
-        "--truncation", "300", "--seed", "42",
+        "--seed", "42",
     ]
     outputs = []
     codes = []

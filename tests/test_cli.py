@@ -51,10 +51,14 @@ eta = 5
 horizon = 9000
 burn_in = 100
 replications = 3
-
-[oracle]
-truncation = 150
 """
+
+
+@pytest.fixture
+def no_leg_runs(monkeypatch):
+    """Fail the test if any method leg is called."""
+    for method in sweeps.METHODS:
+        monkeypatch.setitem(sweeps._LEGS, method, lambda *a: pytest.fail("a leg ran"))
 
 
 def read_csv(path):
@@ -75,20 +79,18 @@ class TestConfigLoading:
         assert overrides["q_values"] == (0.2, 0.5)
         assert overrides["eta_values"] == (5,)
         assert overrides["horizon"] == 9000
-        assert overrides["truncation"] == 150
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(
             '{"experiment": {"kind": "fig2", "convention": "strict"},'
-            ' "grid": {"q": [0.2], "eta": [5], "ptx": [0.25, 0.5]},'
-            ' "fig2": {"p_fixed": 0.7}}'
+            ' "grid": {"p": [0.7], "q": [0.2], "eta": [5], "ptx": [0.25, 0.5]}}'
         )
         overrides = load_config(str(path))
         assert overrides["experiment"] == "fig2"
         assert overrides["convention"] is OutageConvention.STRICT_DEFINITION
         assert overrides["ptx_values"] == (0.25, 0.5)
-        assert overrides["p_fixed"] == 0.7
+        assert overrides["p_values"] == (0.7,)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -134,12 +136,10 @@ SAMPLE_VALUES = {
     "ptx_values": "0.4, 1.0",
     "ratio_values": "1.5, 2",
     "eta_values": "3, 7",
-    "p_fixed": "0.6",
     "horizon": "12345",
     "burn_in": "77",
     "replications": "5",
     "workers": "3",
-    "truncation": "321",
     "optimize_step": "0.01",
 }
 
@@ -167,6 +167,17 @@ class TestSettingsTable:
 
 
 class TestSpecValidation:
+    def test_methods_rules_hold_for_library_specs(self):
+        grids = dict(p_values=(0.8,), q_values=(0.2,), ptx_values=(0.5,), eta_values=(5,))
+        spec = SweepSpec(experiment="compare", methods=("monte_carlo", "closed_form"), **grids)
+        assert spec.methods == ("closed_form", "monte_carlo")
+        with pytest.raises(ValueError, match="at least two"):
+            SweepSpec(experiment="compare", methods=("closed_form",), **grids)
+        with pytest.raises(ValueError, match="nonempty"):
+            SweepSpec(experiment="fig1", methods=(), q_values=(0.2,), ptx_values=(0.5,), ratio_values=(1,))
+        # one replication is enough where no Monte Carlo half-width is judged
+        SweepSpec(experiment="compare", methods=("closed_form", "oracle"), replications=1, **grids)
+
     def test_grid_ranges(self):
         with pytest.raises(ValueError):
             default_spec("nope")
@@ -219,21 +230,21 @@ class TestFig1Command:
             assert float(row["avg_secrecy_age_closed_form"]) > 0.0
 
     def test_oracle_truncation_raised_to_meet_mean_tolerance(self, tmp_path):
-        # --truncation is a floor: at N=60 the oracle mean is 0.018 low, so
-        # the leg runs at the N the mean tolerance needs, as compare does
+        # MIN_TRUNCATION is a floor: at N=400 the oracle mean is 2e-6 low
+        # here, so the leg runs at the N=474 the mean tolerance needs, as
+        # compare does
         out = tmp_path / "fig1.csv"
         code = main([
-            "fig1", "--methods", "closed_form,oracle", "--q", "0.2", "--ptx", "0.5",
-            "--ratio", "2", "--truncation", "60", "--out", str(out),
+            "fig1", "--methods", "closed_form,oracle", "--q", "0.08", "--ptx", "0.5",
+            "--ratio", "2", "--out", str(out),
         ])
         assert code == 0
         (row,) = read_csv(out)
         closed = float(row["avg_secrecy_age_closed_form"])
         assert float(row["avg_secrecy_age_oracle"]) == pytest.approx(closed, abs=1e-6)
 
-    def test_unmeetable_oracle_point_rejected_before_any_leg(self, monkeypatch, capsys):
+    def test_unmeetable_oracle_point_rejected_before_any_leg(self, no_leg_runs, capsys):
         # q=0.01 at p_tx=0.5 needs N=4273, above MAX_TRUNCATION
-        monkeypatch.setitem(sweeps._LEGS, "closed_form", lambda *a: pytest.fail("a leg ran"))
         code = main(["fig1", "--methods", "closed_form,oracle", "--q", "0.2,0.01", "--ptx", "0.5", "--ratio", "2"])
         assert code == 2
         assert "needs truncation 4273 > MAX_TRUNCATION 4000" in capsys.readouterr().err
@@ -270,12 +281,21 @@ class TestFig2Command:
         best = max(float(r["objective_closed_form"]) for r in grid_rows)
         assert float(starred[0]["objective_closed_form"]) >= best - 1e-12
 
+    def test_p_grid_read(self, tmp_path):
+        out = tmp_path / "fig2.csv"
+        code = main([
+            "fig2", "--out", str(out), "--p", "0.5,0.8", "--q", "0.2", "--eta", "5", "--ptx", "0.5",
+        ])
+        assert code == 0
+        # one curve per p: the grid point and the starred optimum
+        assert [row["p"] for row in read_csv(out)] == ["0.5", "0.5", "0.8", "0.8"]
+
 
 class TestCompareCommand:
     COMMON = [
         "--p", "0.8", "--q", "0.2", "--ptx", "0.5,1.0", "--eta", "5",
         "--horizon", "20000", "--burn-in", "500", "--replications", "4",
-        "--truncation", "200", "--seed", "3",
+        "--seed", "3",
     ]
 
     def test_strict_run_passes(self, tmp_path, capsys):
@@ -290,7 +310,7 @@ class TestCompareCommand:
             assert row["outage_note"] == ""
             assert float(row["mean_abs_diff"]) < 1e-6
             assert float(row["outage_abs_diff"]) < 1e-8
-            assert int(row["oracle_truncation"]) == 200  # the config floor dominates here
+            assert int(row["oracle_truncation"]) == sweeps.MIN_TRUNCATION  # the floor dominates here
 
     def test_printed_convention_flags_expected_mismatch(self, tmp_path):
         out = tmp_path / "compare_paper.csv"
@@ -325,26 +345,25 @@ class TestCompareCommand:
             "compare", None,
             methods=("closed_form", "oracle", "monte_carlo"),
             p_values=(0.8,), q_values=(0.5, 0.01), ptx_values=(0.5,), eta_values=(5,),
-            horizon=2000, burn_in=100, replications=2, truncation=60,
+            horizon=2000, burn_in=100, replications=2,
         )
         with pytest.raises(ValueError, match="MAX_TRUNCATION"):
             run_compare(spec)
         assert calls == []
 
     def test_truncation_raised_to_meet_mean_tolerance(self):
-        # a configured truncation below what the mean tolerance needs is
-        # raised to the adaptive N, and the run passes
+        # where the mean tolerance needs more than MIN_TRUNCATION, the
+        # oracle runs at the adaptive N, and the run passes
         spec = make_spec(
             "compare", None,
             methods=("closed_form", "oracle"),
-            p_values=(0.8,), q_values=(0.2,), ptx_values=(0.5,), eta_values=(5,),
-            truncation=40,
+            p_values=(0.8,), q_values=(0.08,), ptx_values=(0.5,), eta_values=(5,),
         )
         result = run_compare(spec)
         assert result.exit_code == 0
-        needed = truncation_for_mean_tol(ChannelParams(0.8, 0.2), Policy(0.5), 1e-7)
-        assert needed > 40
-        assert all(row[5] == needed for row in result.rows)  # adaptive N overrode the 40
+        needed = truncation_for_mean_tol(ChannelParams(0.8, 0.08), Policy(0.5), 1e-7)
+        assert needed > sweeps.MIN_TRUNCATION
+        assert all(row[5] == needed for row in result.rows)  # adaptive N overrode the floor
 
 
 class TestOptimizeCommand:
@@ -386,8 +405,8 @@ class TestErrorPaths:
         ("no_section.ini", "q = 0.2\n"),
         ("fractional_int.json", '{"sim": {"horizon": 20000.9}}'),
         ("boolean_int.json", '{"sim": {"horizon": true}}'),
-        ("null_value.json", '{"oracle": {"truncation": null}}'),
-        ("boolean_float.json", '{"fig2": {"p_fixed": true}}'),
+        ("null_value.json", '{"sim": {"horizon": null}}'),
+        ("boolean_float.json", '{"tolerances": {"optimize_step": true}}'),
         ("boolean_grid.json", '{"grid": {"q": [true]}}'),
     ])
     def test_malformed_config(self, tmp_path, capsys, name, text):
@@ -411,11 +430,14 @@ class TestErrorPaths:
         ("--oracle-tol", "nan"),
         ("--oracle-tol", "0"),
         ("--max-truncation", "4000"),
-        # outside 2..MAX_TRUNCATION, rejected before any leg runs
+        # the oracle floor is the constant MIN_TRUNCATION, and fig2 reads
+        # the p grid: their former flags are refused the same way
         ("--truncation", "1"),
         ("--truncation", "4001"),
+        ("--truncation", "400"),
+        ("--p-fixed", "0.8"),
     ])
-    def test_bad_tolerance_rejected(self, capsys, flag, value):
+    def test_bad_tolerance_rejected(self, no_leg_runs, capsys, flag, value):
         try:
             code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value])
         except SystemExit as exit_:
@@ -426,15 +448,28 @@ class TestErrorPaths:
     @pytest.mark.parametrize("section, key", [
         ("oracle", "tol"),
         ("oracle", "max_truncation"),
+        ("oracle", "truncation"),
+        ("fig2", "p_fixed"),
         ("tolerances", "mean"),
         ("tolerances", "prob"),
         ("tolerances", "mc_coverage"),
     ])
-    def test_removed_config_key_rejected(self, tmp_path, capsys, section, key):
+    def test_removed_config_key_rejected(self, no_leg_runs, tmp_path, capsys, section, key):
         path = tmp_path / "old.ini"
         path.write_text(f"[{section}]\n{key} = 0.5\n")
         assert main(["compare", "--config", str(path)]) == 2
         assert f"unknown config entry [{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        # compare judges Monte Carlo by half-widths, which one replication lacks
+        ("--replications", "1", "needs replications >= 2, got 1"),
+        ("--burn-in", "200000", "burn_in 200000 must be smaller than horizon 100000"),
+        ("--seed", "-1", "seed must be an integer in [0, 2**64), got -1"),
+    ])
+    def test_bad_simulation_setting_rejected_before_any_leg(self, no_leg_runs, capsys, flag, value, message):
+        code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_config_for_another_experiment(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
@@ -448,7 +483,7 @@ class TestDeterminism:
         args = [
             "compare", "--p", "0.8", "--q", "0.2,0.5", "--ptx", "0.5", "--eta", "3",
             "--horizon", "5000", "--burn-in", "100", "--replications", "2",
-            "--truncation", "150", "--seed", "11",
+            "--seed", "11",
         ]
         outputs = []
         for tag, workers in (("a", "1"), ("b", "4"), ("c", "4")):

@@ -231,6 +231,7 @@ class TestOracleMetrics:
                 assert diff >= 0.5 * rep.mean_error_bound  # bound is tight, not vacuous
             assert rep.mean_error_bound == pytest.approx(mean_truncation_bound(st.chain))
             assert rep.outage_error_bound == pytest.approx(outage_truncation_bound(st.chain))
+            assert rep.truncation == n
             bounds.append((rep.mean_error_bound, rep.outage_error_bound))
         assert bounds[0][0] > bounds[1][0] > bounds[2][0]
         assert bounds[0][1] > bounds[1][1] > bounds[2][1]
