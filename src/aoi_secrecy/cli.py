@@ -2,7 +2,8 @@
 
 Subcommands fig1 / fig2 / compare / optimize run the corresponding sweep.
 Settings come from defaults, then an optional config file (--config, INI
-sections or the JSON equivalent), then flags; flags win. Each run writes one
+sections or the JSON equivalent), then flags; flags win. A subcommand takes
+only the settings its experiment reads. Each run writes one
 CSV table and prints a plain-text summary; the exit status is 0 only when
 every check the experiment performs passed.
 """
@@ -30,22 +31,26 @@ def build_parser() -> argparse.ArgumentParser:
         "compare": "cross-validate closed form, oracle and Monte Carlo on a grid",
         "optimize": "closed-form optimal p_tx versus a fine grid search",
     }
+    # a subcommand offers only the flags its experiment reads; abbreviations
+    # are off so fig1 cannot take --p as a prefix of --ptx
     for kind in EXPERIMENTS:
-        cmd = sub.add_parser(kind, help=help_by_kind[kind])
+        cmd = sub.add_parser(kind, help=help_by_kind[kind], allow_abbrev=False)
         cmd.add_argument("--config", help="INI or JSON settings file")
         for setting in SETTINGS:
-            cmd.add_argument(setting.flag, dest=setting.field, type=setting.parse, help=setting.help)
+            if kind in setting.experiments:
+                cmd.add_argument(setting.flag, dest=setting.field, type=setting.parse, help=setting.help)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    experiment, config_path = flags.pop("experiment"), flags.pop("config")
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
-        config = load_config(args.config) if args.config else {}
-        spec = make_spec(args.experiment, config, **{s.field: getattr(args, s.field) for s in SETTINGS})
+        config = load_config(config_path) if config_path else {}
+        spec = make_spec(experiment, config, **flags)
         if spec.out_path is None:
-            spec = replace(spec, out_path=f"{args.experiment}.csv")
+            spec = replace(spec, out_path=f"{experiment}.csv")
         result = RUNNERS[spec.experiment](spec)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

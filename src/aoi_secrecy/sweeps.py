@@ -16,7 +16,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Any, Callable, Optional, Sequence
 
@@ -65,9 +65,10 @@ MIN_TRUNCATION = 400
 # 64 probes at this step already take minutes
 MIN_OPTIMIZE_STEP = 1e-6
 
-# experiment -> its built-in settings: grids spanning the usual plotting
-# ranges, plus any other setting that differs from the SweepSpec default.
-# The grids listed are the ones the experiment reads; each must be nonempty.
+# experiment -> its built-in values where they differ from the SweepSpec
+# default: grids spanning the usual plotting ranges, and compare's three
+# methods. Which settings an experiment reads is SETTINGS' `experiments`
+# column, not this table.
 _EXPERIMENTS: dict[str, dict[str, Any]] = {
     "fig1": {
         "q_values": (0.1, 0.2, 0.3),
@@ -98,10 +99,10 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Everything one experiment run depends on. Grids are used per kind:
-    fig1 reads q/ptx/ratio, fig2 reads p/q/eta/ptx, compare reads
-    p/q/ptx/eta, optimize reads q/eta with p only probing invariance.
-    Methods are kept in METHODS order, duplicates collapsed."""
+    """Everything one experiment run depends on. A setting the experiment
+    does not read (see SETTINGS) must keep its default, and every grid it
+    reads must be nonempty. Methods are kept in METHODS order, duplicates
+    collapsed."""
 
     experiment: str
     methods: tuple[str, ...] = ("closed_form",)
@@ -122,6 +123,19 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        defaults = {f.name: f.default for f in fields(self)}
+        unread, empty = [], []
+        for setting in SETTINGS:
+            value = getattr(self, setting.field)
+            if self.experiment not in setting.experiments:
+                if value != defaults[setting.field]:
+                    unread.append(f"{setting.flag} ([{setting.section}] {setting.key})")
+            elif setting.section == "grid" and not value:
+                empty.append(setting.field)
+        if unread:
+            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
+        if empty:
+            raise ValueError(f"{self.experiment} needs nonempty grids: {', '.join(empty)}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
@@ -156,9 +170,6 @@ class SweepSpec:
                 f"optimize_step {self.optimize_step:g} is below {MIN_OPTIMIZE_STEP:g} "
                 f"({round(1.0 / self.optimize_step)} grid points per probe)"
             )
-        for name in _EXPERIMENTS[self.experiment]:
-            if name.endswith("_values") and not getattr(self, name):
-                raise ValueError(f"{self.experiment} needs a nonempty {name} grid")
 
 
 def default_spec(experiment: str) -> SweepSpec:
@@ -216,33 +227,43 @@ def _convention(raw: Any) -> OutageConvention:
 @dataclass(frozen=True)
 class Setting:
     """One SweepSpec field, set by `key` in config section `section` or by
-    `flag` on every subcommand; both go through `parse`."""
+    `flag`; both go through `parse`. Only the `experiments` that read the
+    field offer the flag or accept a non-default value."""
 
     field: str
     section: str
     key: str
     flag: str
     parse: Callable[[Any], Any]
+    experiments: tuple[str, ...]
     help: str
 
 
+_WITH_LEGS = ("fig1", "fig2", "compare")  # the experiments that run method legs
+
 SETTINGS: tuple[Setting, ...] = (
-    Setting("methods", "experiment", "methods", "--methods", _strs, f"comma list from {', '.join(METHODS)}"),
-    Setting("convention", "experiment", "convention", "--convention", _convention,
+    Setting("methods", "experiment", "methods", "--methods", _strs, _WITH_LEGS,
+            f"comma list from {', '.join(METHODS)}"),
+    Setting("convention", "experiment", "convention", "--convention", _convention, ("fig2", "compare"),
             "outage threshold convention: strict or paper"),
-    Setting("seed", "experiment", "seed", "--seed", _int, "base seed for all Monte Carlo legs"),
-    Setting("out_path", "experiment", "out", "--out", str, "output CSV path (default <experiment>.csv)"),
-    Setting("p_values", "grid", "p", "--p", _floats, "comma list of p values"),
-    Setting("q_values", "grid", "q", "--q", _floats, "comma list of q values"),
-    Setting("ptx_values", "grid", "ptx", "--ptx", _floats, "comma list of p_tx values"),
-    Setting("ratio_values", "grid", "ratio", "--ratio", _floats, "comma list of p/q ratios"),
-    Setting("eta_values", "grid", "eta", "--eta", _ints, "comma list of thresholds"),
-    Setting("horizon", "sim", "horizon", "--horizon", _int, "slots per replication"),
-    Setting("burn_in", "sim", "burn_in", "--burn-in", _int, "slots discarded per replication"),
-    Setting("replications", "sim", "replications", "--replications", _int,
+    Setting("seed", "experiment", "seed", "--seed", _int, _WITH_LEGS, "base seed for all Monte Carlo legs"),
+    Setting("out_path", "experiment", "out", "--out", str, EXPERIMENTS,
+            "output CSV path (default <experiment>.csv)"),
+    Setting("p_values", "grid", "p", "--p", _floats, ("fig2", "compare", "optimize"),
+            "comma list of p values"),
+    Setting("q_values", "grid", "q", "--q", _floats, EXPERIMENTS, "comma list of q values"),
+    Setting("ptx_values", "grid", "ptx", "--ptx", _floats, _WITH_LEGS, "comma list of p_tx values"),
+    Setting("ratio_values", "grid", "ratio", "--ratio", _floats, ("fig1",), "comma list of p/q ratios"),
+    Setting("eta_values", "grid", "eta", "--eta", _ints, ("fig2", "compare", "optimize"),
+            "comma list of thresholds"),
+    Setting("horizon", "sim", "horizon", "--horizon", _int, _WITH_LEGS, "slots per replication"),
+    Setting("burn_in", "sim", "burn_in", "--burn-in", _int, _WITH_LEGS, "slots discarded per replication"),
+    Setting("replications", "sim", "replications", "--replications", _int, _WITH_LEGS,
             "Monte Carlo replications per point"),
-    Setting("workers", "sim", "workers", "--workers", _int, "thread pool size for parameter points"),
-    Setting("optimize_step", "tolerances", "optimize_step", "--step", _float, "optimize grid-search step"),
+    Setting("workers", "sim", "workers", "--workers", _int, _WITH_LEGS,
+            "thread pool size for parameter points"),
+    Setting("optimize_step", "tolerances", "optimize_step", "--step", _float, ("optimize",),
+            "optimize grid-search step"),
 )
 _BY_CONFIG_KEY = {(s.section, s.key): s for s in SETTINGS}
 
@@ -442,13 +463,13 @@ def run_fig1_sweep(spec: SweepSpec) -> SweepResult:
     p = ratio * q above 1 are skipped and logged."""
     points = []  # (p, q, p_tx, None, ratio)
     for q in spec.q_values:
-        for ptx in spec.ptx_values:
-            for ratio in spec.ratio_values:
-                p = ratio * q
-                if p > 1.0 + 1e-9:
-                    log.warning("fig1: skipping q=%g ratio=%g: p=%g exceeds 1", q, ratio, p)
-                    continue
-                points.append((min(p, 1.0), q, ptx, None, ratio))
+        kept = []
+        for ratio in spec.ratio_values:
+            if ratio * q > 1.0 + 1e-9:
+                log.warning("fig1: skipping q=%g ratio=%g: p=%g exceeds 1", q, ratio, ratio * q)
+            else:
+                kept.append(ratio)
+        points.extend((min(ratio * q, 1.0), q, ptx, None, ratio) for ptx in spec.ptx_values for ratio in kept)
 
     def row(point, reports):
         p, q, ptx, _, ratio = point

@@ -5,12 +5,13 @@ precedence, CSV schemas, skip logging, pass/fail exit codes, and byte-level
 determinism of outputs.
 """
 
+import argparse
 import csv
 import json
 import logging
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from aoi_secrecy.cli import build_parser, main
 from aoi_secrecy.model import ChannelParams, Policy
 from aoi_secrecy.oracle import truncation_for_mean_tol
 from aoi_secrecy.sweeps import (
+    EXPERIMENTS,
     SETTINGS,
     SweepSpec,
     _fmt,
@@ -125,7 +127,8 @@ class TestConfigLoading:
             parser.parse_args(["fig1", "--seed", "010"])
 
 
-# one distinct, valid-for-compare text value per SweepSpec field
+# one distinct, non-default text value per SweepSpec field, valid for every
+# experiment that reads the field
 SAMPLE_VALUES = {
     "methods": "oracle, closed_form",
     "convention": "paper",
@@ -159,11 +162,75 @@ class TestSettingsTable:
             path.write_text(f"[{setting.section}]\n{setting.key} = {value}\n")
         else:
             path.write_text(json.dumps({setting.section: {setting.key: value}}))
-        from_config = make_spec("compare", load_config(str(path)))
-        args = build_parser().parse_args(["compare", setting.flag, value])
-        from_flag = make_spec("compare", None, **{s.field: getattr(args, s.field) for s in SETTINGS})
-        assert from_config == from_flag
-        assert from_config != default_spec("compare")
+        # on every experiment that reads the setting
+        for kind in setting.experiments:
+            from_config = make_spec(kind, load_config(str(path)))
+            flags = vars(build_parser().parse_args([kind, setting.flag, value]))
+            del flags["experiment"], flags["config"]
+            from_flag = make_spec(kind, None, **flags)
+            assert from_config == from_flag
+            assert from_config != default_spec(kind)
+
+    @pytest.mark.parametrize(
+        "kind, setting",
+        [(kind, s) for kind in EXPERIMENTS for s in SETTINGS if kind not in s.experiments],
+        ids=lambda v: getattr(v, "field", v),
+    )
+    def test_unread_setting_refused(self, no_leg_runs, tmp_path, capsys, kind, setting):
+        value = SAMPLE_VALUES[setting.field]
+        # the subcommand does not offer the flag
+        with pytest.raises(SystemExit) as exit_:
+            main([kind, setting.flag, value])
+        assert exit_.value.code == 2
+        capsys.readouterr()
+        # the config key is refused by name before any leg runs
+        path = tmp_path / "one.ini"
+        path.write_text(f"[{setting.section}]\n{setting.key} = {value}\n")
+        assert main([kind, "--config", str(path)]) == 2
+        named = f"{kind} does not read {setting.flag} ([{setting.section}] {setting.key})"
+        assert named in capsys.readouterr().err
+        # and so is a library spec that sets it
+        with pytest.raises(ValueError) as err:
+            replace(default_spec(kind), **{setting.field: setting.parse(value)})
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--methods", "monte_carlo", "--ptx", "0.3", "--workers", "9", "--seed", "5",
+         "--horizon", "7", "--burn-in", "3"],
+        ["optimize", "--q", "0.2", "--eta", "5", "--p", "0.8", "--methods", "monte_carlo", "--ptx", "0.3"],
+        ["fig1", "--q", "0.2", "--ptx", "0.5", "--ratio", "2", "--p", "0.3", "--eta", "7", "--step", "0.01"],
+        ["fig1", "--convention", "paper"],
+        # no abbreviations: --p is not taken as a prefix of fig1's --ptx
+        ["fig1", "--p", "0.3"],
+    ])
+    def test_ignored_flags_refused(self, no_leg_runs, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+
+    def test_readme_flag_table_matches_parser(self):
+        # README's "Command line" table lists, per subcommand, the flags it
+        # takes and the config key each one shares
+        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        header = next(line for line in lines if line.startswith("| flag | config key |"))
+        columns = [cell.strip() for cell in header.strip("|").split("|")]
+        documented = {kind: set() for kind in EXPERIMENTS}
+        keys = {}
+        for line in lines:
+            if not line.startswith("| `--"):
+                continue
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            flag = cells[0].strip("`").split()[0]
+            keys[flag] = cells[1]
+            for kind in EXPERIMENTS:
+                if cells[columns.index(kind)] == "x":
+                    documented[kind].add(flag)
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert documented == {
+            kind: {o for action in cmd._actions for o in action.option_strings} - {"-h", "--help"}
+            for kind, cmd in sub.choices.items()
+        }
+        assert keys == {"--config": "", **{s.flag: f"`[{s.section}] {s.key}`" for s in SETTINGS}}
 
 
 class TestSpecValidation:
@@ -195,13 +262,14 @@ class TestSpecValidation:
     def test_required_grids_per_experiment(self):
         with pytest.raises(ValueError, match="ratio_values"):
             SweepSpec(experiment="fig1", q_values=(0.2,), ptx_values=(0.5,))
-        with pytest.raises(ValueError, match="eta_values"):
+        # every missing grid is named at once
+        with pytest.raises(ValueError, match="fig2 needs nonempty grids: p_values, eta_values"):
             SweepSpec(experiment="fig2", q_values=(0.2,), ptx_values=(0.5,))
 
     def test_misc_bounds(self):
-        with pytest.raises(ValueError):
-            SweepSpec(experiment="optimize", q_values=(0.2,), eta_values=(2,),
-                      p_values=(0.5,), workers=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            SweepSpec(experiment="fig1", q_values=(0.2,), ptx_values=(0.5,),
+                      ratio_values=(1,), workers=0)
         with pytest.raises(ValueError):
             SweepSpec(experiment="optimize", q_values=(0.2,), eta_values=(2,),
                       p_values=(0.5,), optimize_step=0.0)
@@ -220,7 +288,9 @@ class TestFig1Command:
                 "--q", "0.2,0.3", "--ptx", "0.5,1.0", "--ratio", "1,2,3,4,5,6",
             ])
         assert code == 0
-        assert any("exceeds 1" in message for message in caplog.messages)
+        skips = [message for message in caplog.messages if "exceeds 1" in message]
+        # once per skipped (q, ratio) pair, not once per p_tx as well
+        assert len(skips) == len(set(skips)) == 1 + 3
         rows = read_csv(out)
         # q=0.2 keeps ratios 1..5, q=0.3 keeps 1..3, each for two ptx values
         assert len(rows) == (5 + 3) * 2
@@ -465,6 +535,9 @@ class TestErrorPaths:
         ("--replications", "1", "needs replications >= 2, got 1"),
         ("--burn-in", "200000", "burn_in 200000 must be smaller than horizon 100000"),
         ("--seed", "-1", "seed must be an integer in [0, 2**64), got -1"),
+        # one replication holds its whole trajectory: refused by the slot
+        # bound before any memory is allocated
+        ("--horizon", "1000000000", "burn_in + horizon = 1000001000 slots exceeds the per-replication bound 10000000"),
     ])
     def test_bad_simulation_setting_rejected_before_any_leg(self, no_leg_runs, capsys, flag, value, message):
         code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value])

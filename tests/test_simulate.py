@@ -19,6 +19,7 @@ from aoi_secrecy.analytics import (
 )
 from aoi_secrecy.model import AgeState, ChannelParams, Policy, SecrecyThreshold, sample_slot
 from aoi_secrecy.simulate import (
+    MAX_SLOTS,
     SimConfig,
     aggregate,
     estimate,
@@ -60,8 +61,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(base_seed=2**64)
 
-    def test_age_counter_overflow_guard(self):
-        with pytest.raises(ValueError, match="overflow"):
+    def test_slot_bound(self):
+        # a replication holds its whole trajectory, about 61 MB per 10**6 slots
+        SimConfig(horizon=MAX_SLOTS - 10, burn_in=10)
+        with pytest.raises(ValueError, match=f"= {MAX_SLOTS + 1} slots exceeds the per-replication bound {MAX_SLOTS}"):
+            SimConfig(horizon=MAX_SLOTS, burn_in=1)
+        with pytest.raises(ValueError, match="exceeds the per-replication bound"):
             SimConfig(horizon=2**62)
 
 
