@@ -8,6 +8,10 @@ so interior entries are exact and all distortion lives in the two boundary
 masses Pr(delta_d >= N) and Pr(delta_e >= N), which are tracked and attached
 to every reported metric as rigorous error bounds.
 
+steady_state solves the clamped law directly in O(N^2) from the chain's
+four one-slot outcome masses, then checks it with one application of the
+operator: the L1 residual is reported, and one above tol raises.
+
 Transition entries come from model.transition_distribution; none of the
 closed forms in analytics.py are consulted here, so agreement between the
 two routes is evidence, not circularity.
@@ -24,15 +28,12 @@ from .analytics import OutageConvention, DEFAULT_CONVENTION, outage_event
 from .model import AgeState, ChannelParams, Policy, SecrecyReport, SecrecyThreshold, transition_distribution
 
 
-class PowerIterationError(RuntimeError):
-    """Raised when the iteration fails to reach the requested residual."""
+class StationarityError(RuntimeError):
+    """Raised when the solved law is not a fixed point of the operator."""
 
-    def __init__(self, residual: float, iterations: int, tol: float):
-        super().__init__(
-            f"no convergence after {iterations} iterations: residual {residual:.3e} > tol {tol:.3e}"
-        )
+    def __init__(self, residual: float, tol: float):
+        super().__init__(f"stationarity residual {residual:.3e} > tol {tol:.3e}")
         self.residual = residual
-        self.iterations = iterations
         self.tol = tol
 
 
@@ -148,19 +149,19 @@ def build_truncated_chain(params: ChannelParams, policy: Policy, truncation: int
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Converged stationary distribution of a truncated chain."""
+    """Stationary distribution of a truncated chain, checked by one step."""
 
     chain: TruncatedChain
     pi: np.ndarray  # pi[i-1, j-1] = stationary mass on (i, j)
-    residual: float  # L1 norm of one further operator application
-    iterations: int
+    residual: float  # L1 norm of pi @ T - pi
+    iterations: int  # operator applications spent: the one check
 
     def prob(self, i: int, j: int) -> float:
         return float(self.pi[i - 1, j - 1])
 
     @property
     def boundary_mass_d(self) -> float:
-        """Converged mass sitting on the clamped row delta_d = N."""
+        """Stationary mass sitting on the clamped row delta_d = N."""
         return float(self.pi[-1, :].sum())
 
     @property
@@ -168,32 +169,72 @@ class SteadyState:
         return float(self.pi[:, -1].sum())
 
 
-def steady_state(chain: TruncatedChain, tol: float = 1e-12, max_iters: int | None = None) -> SteadyState:
-    """Power iteration to the stationary law of the clamped operator.
+def _clamped_age_law(reset: float, grow: float, n: int) -> np.ndarray:
+    """Stationary law of one age clamped at n that resets to 1 w.p. `reset`
+    and otherwise grows (w.p. `grow`): reset * grow^(k-1) for k < n, and
+    the survival grow^(n-1) at n. Survivals are repeated products."""
+    survival = np.ones(n)
+    np.cumprod(np.full(n - 1, grow), out=survival[1:])
+    law = reset * survival
+    law[-1] = survival[-1]
+    return law
 
-    Stops when the L1 change of one application is <= tol; since the operator
-    is an L1 contraction on differences, the returned iterate's stationarity
-    residual is bounded by the same tol. The start is the point mass at
-    (1, 1), from which every truncated-state probability is determined by the
-    last <= N slot outcomes, so the iteration settles to rounding noise after
-    about N steps whatever the mixing rate; the default budget is N + 50.
+
+def _fold(start: float, inner: np.ndarray, stay: float) -> list[float]:
+    """One clamped edge, forward from its reset-edge entry `start`:
+    edge[k] = stay * (inner[k-1] + edge[k-1]), where inner is the line just
+    inside the edge. Returns len(inner) + 1 entries."""
+    edge = [start]
+    for value in inner.tolist():
+        edge.append(stay * (value + edge[-1]))
+    return edge
+
+
+def steady_state(chain: TruncatedChain, tol: float = 1e-12) -> SteadyState:
+    """Stationary law of the clamped operator, solved directly in O(N^2).
+
+    pi[i, j] (0-based) is built from the four outcome masses alone:
+    - the row and column marginals are the clamped 1-D age laws;
+    - the first column and row are the single-reset outcomes of those
+      marginals, pi[0, 0] the double reset;
+    - interior entries carry the no-reset outcome down the diagonal,
+      pi[i, j] = p_neither * pi[i-1, j-1];
+    - the last row and column fold the clamped increments forward,
+      pi[N-1, j] = p_neither * (pi[N-2, j-1] + pi[N-1, j-1]);
+    - the corner solves its own balance equation, and is the whole mass
+      when nothing ever resets (p = q = 0).
+    Every entry is a sum of products of non-negative masses. One operator
+    application then measures the L1 residual, and a residual above tol
+    raises StationarityError.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     n = chain.truncation
-    current = np.zeros((n, n))
-    current[0, 0] = 1.0
-    if max_iters is None:
-        max_iters = n + 50
-    scratch = np.empty_like(current)
-    residual = math.inf
-    for iteration in range(1, max_iters + 1):
-        chain.apply(current, scratch)
-        residual = float(np.abs(scratch - current).sum())
-        current, scratch = scratch, current
-        if residual <= tol:
-            return SteadyState(chain=chain, pi=current, residual=residual, iterations=iteration)
-    raise PowerIterationError(residual, max_iters, tol)
+    stay = chain.p_neither
+    row = _clamped_age_law(chain.reset_rate_d, chain.p_only_e + stay, n)
+    col = _clamped_age_law(chain.reset_rate_e, chain.p_only_d + stay, n)
+    pi = np.zeros((n, n))
+    pi[0, 0] = chain.p_both
+    pi[1:, 0] = chain.p_only_e * row[:-1]
+    pi[n - 1, 0] = chain.p_only_e * (row[n - 2] + row[n - 1])
+    pi[0, 1:] = chain.p_only_d * col[:-1]
+    pi[0, n - 1] = chain.p_only_d * (col[n - 2] + col[n - 1])
+    for i in range(1, n - 1):
+        np.multiply(pi[i - 1, : n - 2], stay, out=pi[i, 1 : n - 1])
+    pi[n - 1, : n - 1] = _fold(pi[n - 1, 0], pi[n - 2, : n - 2], stay)
+    pi[: n - 1, n - 1] = _fold(pi[0, n - 1], pi[: n - 2, n - 2], stay)
+    escape = chain.p_both + chain.p_only_e + chain.p_only_d
+    if escape > 0.0:
+        boundary = pi[n - 2, n - 2] + pi[n - 2, n - 1] + pi[n - 1, n - 2]
+        pi[n - 1, n - 1] = stay * boundary / escape
+    else:
+        pi[n - 1, n - 1] = 1.0  # nothing resets: every path ends in the corner
+    check = chain.apply(pi)
+    check -= pi
+    residual = float(np.abs(check, out=check).sum())
+    if not residual <= tol:
+        raise StationarityError(residual, tol)
+    return SteadyState(chain=chain, pi=pi, residual=residual, iterations=1)
 
 
 def mean_truncation_bound(chain: TruncatedChain) -> float:
@@ -217,8 +258,8 @@ def outage_truncation_bound(chain: TruncatedChain) -> float:
 
 def truncation_for_mean_tol(params: ChannelParams, policy: Policy, tol: float) -> int:
     """Smallest truncation (at least 2) whose mean_truncation_bound is <= tol."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     r_e = policy.p_tx * params.q
     if r_e <= 0.0:
         raise ValueError("q = 0: no finite truncation bounds the mean error")

@@ -20,7 +20,7 @@ from aoi_secrecy import sweeps
 from aoi_secrecy.analytics import OutageConvention
 from aoi_secrecy.cli import build_parser, main
 from aoi_secrecy.model import ChannelParams, Policy
-from aoi_secrecy.oracle import truncation_for_mean_tol
+from aoi_secrecy.oracle import build_truncated_chain, outage_truncation_bound, truncation_for_mean_tol
 from aoi_secrecy.sweeps import (
     EXPERIMENTS,
     SETTINGS,
@@ -30,6 +30,7 @@ from aoi_secrecy.sweeps import (
     load_config,
     make_spec,
     run_compare,
+    run_fig2_sweep,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -359,6 +360,20 @@ class TestFig2Command:
         assert code == 0
         # one curve per p: the grid point and the starred optimum
         assert [row["p"] for row in read_csv(out)] == ["0.5", "0.5", "0.8", "0.8"]
+
+
+    def test_oracle_leg_meets_closed_form_on_default_grid(self):
+        # what `fig2 --methods closed_form,oracle` runs, read at full
+        # precision: 84 rows, each oracle leg at the N its mean bound needs
+        spec = make_spec("fig2", methods=("closed_form", "oracle"))
+        result = run_fig2_sweep(spec)
+        assert result.exit_code == 0
+        assert len(result.rows) == 84
+        for p, q, _, ptx, closed, oracle, *_ in result.rows:
+            params, policy = ChannelParams(p, q), Policy(ptx)
+            chain = build_truncated_chain(params, policy, sweeps._oracle_truncation(spec, p, q, ptx))
+            # objective = p_tx (1 - outage), so its error is at most the outage's
+            assert abs(oracle - closed) <= sweeps.TOL_PROB + outage_truncation_bound(chain)
 
 
 class TestCompareCommand:

@@ -1,18 +1,25 @@
-"""Truncated-chain steady state: operator correctness, convergence, bounds.
+"""Truncated-chain steady state: operator correctness, the direct solve, bounds.
 
 The oracle builds its transitions from model.transition_distribution alone,
 so comparisons against the closed forms in analytics.py are genuine
 cross-route checks. Two operator implementations exist on purpose (the
 structured apply() and the per-state sparse matrix); they are compared here
-and must stay independent.
+and must stay independent. The direct stationary solve is checked against
+two references kept here: power iteration of apply() and a sparse linear
+solve of to_sparse().
 """
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies
+from scipy.sparse import identity
+from scipy.sparse.linalg import spsolve
 
 import aoi_secrecy
 from aoi_secrecy.analytics import (
@@ -27,7 +34,7 @@ from aoi_secrecy.analytics import (
 )
 from aoi_secrecy.model import ChannelParams, Policy, SecrecyThreshold, transition_distribution, AgeState
 from aoi_secrecy.oracle import (
-    PowerIterationError,
+    StationarityError,
     build_truncated_chain,
     gap_pmf_array,
     mean_truncation_bound,
@@ -36,6 +43,7 @@ from aoi_secrecy.oracle import (
     steady_state,
     truncation_for_mean_tol,
 )
+from aoi_secrecy.sweeps import TOL_MEAN, TOL_PROB
 
 P = ChannelParams(0.8, 0.2)
 HALF = Policy(0.5)
@@ -55,6 +63,58 @@ def random_dist(n, seed):
     rng = np.random.default_rng(seed)
     d = rng.random((n, n))
     return d / d.sum()
+
+
+class NoConvergence(RuntimeError):
+    def __init__(self, residual, iterations, tol):
+        super().__init__(f"residual {residual:.3e} > tol {tol:.3e} after {iterations} iterations")
+        self.residual = residual
+        self.iterations = iterations
+        self.tol = tol
+
+
+def power_iteration(chain, tol=1e-12, max_iters=None):
+    """Reference solve: iterate apply() from the (1, 1) point mass until one
+    step changes the law by <= tol in L1. From that start every truncated
+    probability is fixed by the last <= N slot outcomes, so it settles after
+    about N steps whatever the mixing rate; the default budget is N + 50.
+    Returns (pi, iterations)."""
+    n = chain.truncation
+    current = np.zeros((n, n))
+    current[0, 0] = 1.0
+    scratch = np.empty_like(current)
+    residual = math.inf
+    budget = n + 50 if max_iters is None else max_iters
+    for iteration in range(1, budget + 1):
+        chain.apply(current, scratch)
+        residual = float(np.abs(scratch - current).sum())
+        current, scratch = scratch, current
+        if residual <= tol:
+            return current, iteration
+    raise NoConvergence(residual, budget, tol)
+
+
+def sparse_law(chain):
+    """Reference solve: the stationary law of to_sparse() by a sparse linear
+    solve, the normalisation replacing one (redundant) balance equation."""
+    n = chain.truncation
+    system = (chain.to_sparse().T - identity(n * n)).tolil()
+    system[0, :] = 1.0
+    rhs = np.zeros(n * n)
+    rhs[0] = 1.0
+    return spsolve(system.tocsc(), rhs).reshape(n, n)
+
+
+# (p, q, p_tx) where the direct solve meets both references: slow mixing,
+# one or both links dead, certain delivery, a certain receiver
+REFERENCE_CASES = [
+    (0.1, 0.1, 0.2),
+    (0.0, 0.5, 0.5),
+    (0.5, 0.0, 0.5),
+    (0.0, 0.0, 0.5),
+    (1.0, 1.0, 1.0),
+    (1.0, 0.5, 0.3),
+]
 
 
 class TestChainConstruction:
@@ -122,11 +182,24 @@ class TestOperator:
 
 
 class TestSteadyState:
+    @pytest.mark.parametrize("p, q, ptx", REFERENCE_CASES)
+    def test_direct_solve_matches_both_references(self, p, q, ptx):
+        params, policy = ChannelParams(p, q), Policy(ptx)
+        # power iteration at N = 200, where the slow case still sits mostly
+        # off the clamp; the sparse solve at N = 40, where the clamp holds
+        # nearly half its mass
+        for n, reference in ((200, lambda c: power_iteration(c)[0]), (40, sparse_law)):
+            st = steady_state(build_truncated_chain(params, policy, n))
+            assert np.max(np.abs(st.pi - reference(st.chain))) <= 1e-12
+            assert np.all(st.pi >= 0.0)
+            assert st.residual <= 1e-12
+            assert st.iterations == 1
+
     def test_certain_delivery_pins_the_corner(self):
         chain = build_truncated_chain(ChannelParams(1.0, 1.0), Policy(1.0), 6)
         st = steady_state(chain)
         assert st.prob(1, 1) == pytest.approx(1.0, abs=1e-12)
-        assert st.iterations <= 10
+        assert power_iteration(chain)[1] <= 10
 
     def test_frozen_corner_probability(self):
         st = steady_state(build_truncated_chain(P, HALF, 200))
@@ -148,10 +221,20 @@ class TestSteadyState:
             with pytest.raises(ValueError, match="tol"):
                 steady_state(chain, tol=tol)
 
+    def test_law_failing_one_operator_step_raises(self):
+        # outcome masses summing to 1.01 admit no stationary law; the
+        # solved candidate is caught by its residual
+        chain = build_truncated_chain(P, HALF, 60)
+        leaky = dataclasses.replace(chain, p_neither=chain.p_neither + 0.01)
+        with pytest.raises(StationarityError) as exc:
+            steady_state(leaky)
+        assert exc.value.tol == 1e-12
+        assert exc.value.residual > exc.value.tol
+
     def test_iteration_budget_exhaustion_raises(self):
         chain = build_truncated_chain(P, HALF, 60)
-        with pytest.raises(PowerIterationError) as exc:
-            steady_state(chain, max_iters=3)
+        with pytest.raises(NoConvergence) as exc:
+            power_iteration(chain, max_iters=3)
         assert exc.value.iterations == 3
         assert exc.value.residual > exc.value.tol
 
@@ -161,8 +244,8 @@ class TestSteadyState:
         # when the mixing rate is terrible (rate_e = 0.02 here)
         n = 120
         chain = build_truncated_chain(SLOW, Policy(0.2), n)
-        st = steady_state(chain, tol=1e-12)
-        assert st.iterations <= n + 2
+        _, iterations = power_iteration(chain, tol=1e-12)
+        assert iterations <= n + 2
 
     def test_boundary_masses_match_exact_tail(self):
         st = steady_state(build_truncated_chain(SLOW, HALF, 80))
@@ -243,6 +326,48 @@ class TestOracleMetrics:
         assert math.isinf(oracle_metrics(st).average_secrecy_age)
 
 
+# probabilities in [low, 1] with their edges drawn on purpose
+def unit_interval(*edges, low=0.0):
+    return strategies.one_of(*(strategies.just(e) for e in edges), strategies.floats(low, 1.0))
+
+
+BLOCK = 40
+# largest truncation an example may need, so each solves in milliseconds
+PROPERTY_MAX_TRUNCATION = 1000
+
+
+@strategies.composite
+def oracle_points(draw):
+    """(params, policy, eta) whose mean tolerance TOL_MEAN / 10 is met by a
+    truncation of at most PROPERTY_MAX_TRUNCATION, and that truncation."""
+    p = draw(unit_interval(0.0, 1.0))
+    # below a reset rate p_tx q of about 0.022 the truncation exceeds 1000
+    q = draw(unit_interval(1.0, low=0.02))
+    ptx = draw(unit_interval(1.0, low=0.02))
+    eta = draw(strategies.integers(1, 30))
+    params, policy = ChannelParams(p, q), Policy(ptx)
+    needed = truncation_for_mean_tol(params, policy, TOL_MEAN / 10.0)
+    assume(needed <= PROPERTY_MAX_TRUNCATION)
+    return params, policy, SecrecyThreshold(eta), max(BLOCK + 1, needed)
+
+
+class TestClosedFormAgreement:
+    # derandomized and bounded so it fits the tier-1 budget (about 1 s)
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(oracle_points())
+    def test_oracle_meets_closed_forms(self, point):
+        params, policy, threshold, n = point
+        state = steady_state(build_truncated_chain(params, policy, n))
+        # every entry off the clamped last row and column is exact
+        closed = stationary_block(params, policy, BLOCK)
+        assert np.max(np.abs(state.pi[:BLOCK, :BLOCK] - closed)) <= 1e-9
+        assert abs(oracle_metrics(state).average_secrecy_age - average_secrecy_age(params, policy)) <= TOL_MEAN
+        slack = TOL_PROB + outage_truncation_bound(state.chain)
+        for convention in OutageConvention:
+            measured = oracle_metrics(state, threshold, convention).outage_probability
+            assert abs(measured - outage_probability(params, policy, threshold, convention)) <= slack
+
+
 class TestTruncationSizing:
     def test_returned_size_is_minimal(self):
         for tol in (1e-4, 1e-6, 1e-8):
@@ -254,8 +379,9 @@ class TestTruncationSizing:
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             truncation_for_mean_tol(ChannelParams(0.8, 0.0), HALF, 1e-6)
-        with pytest.raises(ValueError):
-            truncation_for_mean_tol(P, HALF, 0.0)
+        for tol in (0.0, -1e-6, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                truncation_for_mean_tol(P, HALF, tol)
 
 
 # the only analytics names the measurement routes may share: the event
