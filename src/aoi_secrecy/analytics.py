@@ -30,13 +30,6 @@ class OutageConvention(Enum):
     PAPER_PRINTED = "paper"
     STRICT_DEFINITION = "strict"
 
-    @classmethod
-    def from_label(cls, label: str) -> "OutageConvention":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown convention label {label!r}; use 'paper' or 'strict'")
-
 
 DEFAULT_CONVENTION = OutageConvention.STRICT_DEFINITION
 
@@ -228,24 +221,17 @@ def optimal_ptx(
     return min(1.0 / (q * (k + 1)), 1.0)
 
 
-def closed_form_report(
-    params: ChannelParams,
-    policy: Policy,
-    threshold: SecrecyThreshold | None = None,
-    convention: OutageConvention = DEFAULT_CONVENTION,
-) -> SecrecyReport:
-    """Bundle the closed-form metrics into a SecrecyReport."""
+def closed_form_report(params: ChannelParams, policy: Policy, event: int | None = None) -> SecrecyReport:
+    """Bundle the closed-form metrics into a SecrecyReport, with the outage
+    Pr(secrecy age <= event) when an event index is given."""
     out_prob = None
-    event = None
-    label = None
-    if threshold is not None:
-        out_prob = outage_probability(params, policy, threshold, convention)
-        event = outage_event(threshold, convention)
-        label = convention.value
+    if event is not None:
+        if event < 0:
+            raise ValueError("event index must be >= 0")
+        out_prob = _outage_from_exponent(event, params, policy)
     return SecrecyReport(
         provenance="closed_form",
         average_secrecy_age=average_secrecy_age(params, policy),
         outage_probability=out_prob,
         outage_event=event,
-        convention=label,
     )

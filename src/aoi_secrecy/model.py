@@ -69,9 +69,9 @@ class SecrecyThreshold:
 class SecrecyReport:
     """Secrecy metrics from one evaluation route.
 
-    provenance is one of 'closed_form', 'oracle', 'monte_carlo'. Outage values
-    carry the convention label they were evaluated under and the realized
-    event index k, meaning the reported number is Pr(secrecy age <= k).
+    provenance is one of 'closed_form', 'oracle', 'monte_carlo'. An outage
+    value carries its event index k: the reported number is
+    Pr(secrecy age <= k), whichever threshold convention chose k.
     Error bounds are rigorous truncation bounds where the route has any
     (the oracle, which also records its truncation N), zero otherwise.
     Monte Carlo carries 95% half-widths instead (None from one replication).
@@ -81,7 +81,6 @@ class SecrecyReport:
     average_secrecy_age: float  # slots; inf when the eavesdropper never decodes
     outage_probability: Optional[float] = None
     outage_event: Optional[int] = None
-    convention: Optional[str] = None
     mean_error_bound: float = 0.0
     outage_error_bound: float = 0.0
     mean_halfwidth: Optional[float] = None

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import OutageConvention, DEFAULT_CONVENTION, outage_event
-from .model import AgeState, ChannelParams, Policy, SecrecyReport, SecrecyThreshold, transition_distribution
+from .model import AgeState, ChannelParams, Policy, SecrecyReport, transition_distribution
 
 
 class StationarityError(RuntimeError):
@@ -258,14 +257,17 @@ def outage_truncation_bound(chain: TruncatedChain) -> float:
 
 def truncation_for_mean_tol(params: ChannelParams, policy: Policy, tol: float) -> int:
     """Smallest truncation (at least 2) whose mean_truncation_bound is <= tol."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     r_e = policy.p_tx * params.q
     if r_e <= 0.0:
         raise ValueError("q = 0: no finite truncation bounds the mean error")
     if r_e == 1.0:
         return 2
-    needed = math.log(tol * r_e) / math.log(1.0 - r_e)
+    # logs of each factor, and log1p, keep tiny reset rates off 0 and log(0)
+    needed = (math.log(tol) + math.log(r_e)) / math.log1p(-r_e)
+    if not math.isfinite(needed):
+        raise ValueError(f"no finite truncation meets tol {tol!r} at reset rate p_tx q = {r_e!r}")
     return max(2, math.ceil(needed))
 
 
@@ -280,16 +282,10 @@ def gap_pmf_array(state: SteadyState) -> np.ndarray:
     return pmf
 
 
-def oracle_metrics(
-    state: SteadyState,
-    threshold: SecrecyThreshold | None = None,
-    convention: OutageConvention = DEFAULT_CONVENTION,
-) -> SecrecyReport:
-    """Secrecy metrics summed exhaustively over the truncated support.
-
-    The outage event index follows the requested convention (eta_th under
-    strict, eta_th - 1 under the printed variant). Attached error bounds
-    cover everything the clamp can distort.
+def oracle_metrics(state: SteadyState, event: int | None = None) -> SecrecyReport:
+    """Secrecy metrics summed exhaustively over the truncated support, with
+    the outage Pr(secrecy age <= event) when an event index is given.
+    Attached error bounds cover everything the clamp can distort.
     """
     chain = state.chain
     n = chain.truncation
@@ -300,12 +296,10 @@ def oracle_metrics(
     if chain.reset_rate_e <= 0.0:
         mean = math.inf
     out_prob = None
-    event = None
-    label = None
     out_bound = 0.0
-    if threshold is not None:
-        event = outage_event(threshold, convention)
-        label = convention.value
+    if event is not None:
+        if event < 0:
+            raise ValueError("event index must be >= 0")
         # 1 minus the tail keeps the small quantity explicit
         tail = float(pmf[event + 1 :].sum()) if event + 1 < n else 0.0
         out_prob = 1.0 - tail
@@ -315,7 +309,6 @@ def oracle_metrics(
         average_secrecy_age=mean,
         outage_probability=out_prob,
         outage_event=event,
-        convention=label,
         mean_error_bound=mean_bound,
         outage_error_bound=out_bound,
         truncation=n,

@@ -13,7 +13,6 @@ of parallelism yields bit-identical results.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,8 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytics import OutageConvention, DEFAULT_CONVENTION, outage_event
-from .model import ChannelParams, Policy, SecrecyThreshold, slot_thresholds
+from .model import ChannelParams, Policy, slot_thresholds
 
 DEFAULT_HORIZON = 10**6
 DEFAULT_BURN_IN = 10**4
@@ -49,7 +47,6 @@ class SimConfig:
     burn_in: int = DEFAULT_BURN_IN
     replications: int = DEFAULT_REPLICATIONS
     base_seed: int = 0
-    threshold: Optional[SecrecyThreshold] = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.horizon, int) and self.horizon >= 1):
@@ -78,7 +75,6 @@ class ReplicationStats:
 
     slots_observed: int
     gap_hist: np.ndarray
-    state11_count: int
 
     @property
     def mean_secrecy_age(self) -> float:
@@ -111,19 +107,14 @@ def _replication_rng(base_seed: int, replication_index: int) -> np.random.Genera
     return np.random.default_rng(seq)
 
 
-def run_replication(
-    params: ChannelParams,
-    policy: Policy,
-    config: SimConfig,
-    replication_index: int,
-    trace_path: str | None = None,
-) -> ReplicationStats:
-    """Simulate one replication and reduce it to a gap histogram.
+def _walk(
+    params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The replication's whole trajectory (ages_d, ages_e), burn-in included.
 
-    The whole trajectory is materialized vectorized: ages follow from the
-    running index of the most recent reset on each side. The traced peak is
-    about 61 bytes per slot, which MAX_SLOTS bounds; trace export is meant
-    for small horizons only.
+    Vectorized: ages follow from the running index of the most recent reset
+    on each side. The traced peak is about 61 bytes per slot, which
+    MAX_SLOTS bounds.
     """
     n_states = config.burn_in + config.horizon
     rng = _replication_rng(config.base_seed, replication_index)
@@ -143,28 +134,17 @@ def run_replication(
     np.subtract(times, last_e, out=ages_e[1:])
     ages_d[1:] += 1
     ages_e[1:] += 1
-    if trace_path is not None:
-        _write_trace(trace_path, ages_d, ages_e)
-    obs_d = ages_d[config.burn_in :]
-    obs_e = ages_e[config.burn_in :]
-    gap = obs_e - obs_d
+    return ages_d, ages_e
+
+
+def run_replication(
+    params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
+) -> ReplicationStats:
+    """Simulate one replication and reduce its observation window to a gap histogram."""
+    ages_d, ages_e = _walk(params, policy, config, replication_index)
+    gap = ages_e[config.burn_in :] - ages_d[config.burn_in :]
     np.clip(gap, 0, None, out=gap)
-    hist = np.bincount(gap, minlength=1)
-    state11 = int(np.count_nonzero((obs_d == 1) & (obs_e == 1)))
-    return ReplicationStats(
-        slots_observed=int(obs_d.shape[0]),
-        gap_hist=hist,
-        state11_count=state11,
-    )
-
-
-def _write_trace(path: str, ages_d: np.ndarray, ages_e: np.ndarray) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["slot", "delta_d", "delta_e", "secrecy_age"])
-        for t in range(len(ages_d)):
-            gap = int(ages_e[t] - ages_d[t])
-            writer.writerow([t, int(ages_d[t]), int(ages_e[t]), gap if gap > 0 else 0])
+    return ReplicationStats(slots_observed=config.horizon, gap_hist=np.bincount(gap, minlength=1))
 
 
 def _ci(values: Sequence[float]) -> tuple[float, Optional[float]]:
@@ -200,10 +180,11 @@ def estimate(
     params: ChannelParams,
     policy: Policy,
     config: SimConfig,
-    convention: OutageConvention = DEFAULT_CONVENTION,
+    event: int | None = None,
     workers: int = 1,
 ) -> SimEstimate:
-    """Run all replications (optionally on a thread pool) and aggregate.
+    """Run all replications (optionally on a thread pool) and aggregate, with
+    the outage frequency of {secrecy age <= event} when an event is given.
 
     Results are identical for every worker count: each replication owns a
     stateless stream and the reduction runs in replication order.
@@ -214,7 +195,4 @@ def estimate(
             stats = list(pool.map(lambda r: run_replication(params, policy, config, r), indices))
     else:
         stats = [run_replication(params, policy, config, r) for r in indices]
-    event = None
-    if config.threshold is not None:
-        event = outage_event(config.threshold, convention)
     return aggregate(stats, event)

@@ -28,6 +28,7 @@ from .analytics import (
     closed_form_report,
     objective,
     optimal_ptx,
+    outage_event,
     secrecy_gap_pmf,
 )
 from .model import ChannelParams, Policy, SecrecyReport, SecrecyThreshold
@@ -221,7 +222,7 @@ def _strs(raw: Any) -> tuple[str, ...]:
 
 
 def _convention(raw: Any) -> OutageConvention:
-    return OutageConvention.from_label(str(raw))
+    return OutageConvention(str(raw))
 
 
 @dataclass(frozen=True)
@@ -371,32 +372,28 @@ def _maybe_write(spec: SweepSpec, result: SweepResult) -> SweepResult:
 # method legs: one function per name in METHODS, each returning its route's
 # SecrecyReport for one point
 
-def _closed_form_leg(spec, index, params, policy, threshold, measured, truncation) -> SecrecyReport:
-    """Always labeled with spec.convention: the closed form is what the
-    printed convention changes, so it never switches to `measured`."""
-    return closed_form_report(params, policy, threshold, spec.convention)
+def _closed_form_leg(spec, index, params, policy, event, truncation) -> SecrecyReport:
+    return closed_form_report(params, policy, event)
 
 
-def _oracle_leg(spec, index, params, policy, threshold, measured, truncation) -> SecrecyReport:
-    return oracle_metrics(steady_state(build_truncated_chain(params, policy, truncation)), threshold, measured)
+def _oracle_leg(spec, index, params, policy, event, truncation) -> SecrecyReport:
+    return oracle_metrics(steady_state(build_truncated_chain(params, policy, truncation)), event)
 
 
-def _monte_carlo_leg(spec, index, params, policy, threshold, measured, truncation) -> SecrecyReport:
+def _monte_carlo_leg(spec, index, params, policy, event, truncation) -> SecrecyReport:
     config = SimConfig(
         horizon=spec.horizon,
         burn_in=spec.burn_in,
         replications=spec.replications,
         base_seed=_row_seed(spec.seed, index),
-        threshold=threshold,
     )
     # replications stay serial here; parallelism is across parameter points
-    est = estimate(params, policy, config, convention=measured, workers=1)
+    est = estimate(params, policy, config, event)
     return SecrecyReport(
         "monte_carlo",
         est.mean_secrecy_age,
         est.outage_estimate,
         est.outage_event,
-        None if threshold is None else measured.value,
         mean_halfwidth=est.mean_halfwidth,
         outage_halfwidth=est.outage_halfwidth,
     )
@@ -436,20 +433,22 @@ def _evaluate(
     each requested method to its SecrecyReport. A point starts
     (p, q, p_tx, eta or None); anything after that is the runner's own.
     Every oracle truncation is settled before any leg runs, so an unmeetable
-    demand costs no work. The oracle and Monte Carlo legs estimate the event
-    of convention `measured` (spec.convention unless given); Monte Carlo
-    seeds from the point's index, so results do not depend on the worker count."""
+    demand costs no work. Each leg gets the outage event index of eta: the
+    closed form that of spec.convention, which is what the printed
+    convention changes, and the oracle and Monte Carlo legs that of
+    `measured` (spec.convention unless given). Monte Carlo seeds from the
+    point's index, so results do not depend on the worker count."""
     measured = measured or spec.convention
     truncations = [_oracle_truncation(spec, p, q, ptx) for p, q, ptx, *_ in points]
 
     def evaluate(index: int) -> Any:
         p, q, ptx, eta = points[index][:4]
         params, policy = ChannelParams(p=p, q=q), Policy(p_tx=ptx)
-        threshold = None if eta is None else SecrecyThreshold(eta)
-        reports = {
-            m: _LEGS[m](spec, index, params, policy, threshold, measured, truncations[index])
-            for m in spec.methods
-        }
+        reports = {}
+        for m in spec.methods:
+            convention = spec.convention if m == "closed_form" else measured
+            event = None if eta is None else outage_event(SecrecyThreshold(eta), convention)
+            reports[m] = _LEGS[m](spec, index, params, policy, event, truncations[index])
         return row(points[index], reports)
 
     return _ordered_map(evaluate, range(len(points)), spec.workers)

@@ -169,10 +169,10 @@ class TestOutage:
         )
 
     def test_convention_labels_round_trip(self):
-        assert OutageConvention.from_label("paper") is OutageConvention.PAPER_PRINTED
-        assert OutageConvention.from_label("strict") is OutageConvention.STRICT_DEFINITION
+        assert OutageConvention("paper") is OutageConvention.PAPER_PRINTED
+        assert OutageConvention("strict") is OutageConvention.STRICT_DEFINITION
         with pytest.raises(ValueError):
-            OutageConvention.from_label("loose")
+            OutageConvention("loose")
 
     def test_convention_bridge_exact(self):
         # printed form at eta equals the strict form at eta - 1: both reduce to
@@ -271,14 +271,21 @@ class TestObjectiveAndOptimizer:
 
 class TestClosedFormReport:
     def test_fields_populated(self):
-        rep = closed_form_report(P, HALF, SecrecyThreshold(5))
+        rep = closed_form_report(P, HALF, 5)
         assert rep.provenance == "closed_form"
         assert rep.average_secrecy_age == pytest.approx(2 * 3.80952380952381, rel=1e-12)
         assert rep.outage_event == 5
-        assert rep.convention == "strict"
+        # the same bytes as the paper-facing function for either convention
+        for conv in OutageConvention:
+            thr = SecrecyThreshold(5 + (conv is OutageConvention.PAPER_PRINTED))
+            assert rep.outage_probability == outage_probability(P, HALF, thr, conv)
         assert rep.mean_error_bound == 0.0
 
     def test_no_threshold_no_outage(self):
         rep = closed_form_report(P, ALWAYS)
         assert rep.outage_probability is None
         assert rep.outage_event is None
+
+    def test_negative_event_rejected(self):
+        with pytest.raises(ValueError, match="event index"):
+            closed_form_report(P, HALF, -1)

@@ -485,6 +485,15 @@ class TestErrorPaths:
         assert code == 2
         assert "at least two" in capsys.readouterr().err
 
+    def test_bad_convention_label(self, no_leg_runs, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fig2", "--convention", "loose"])
+        assert exit_.value.code == 2
+        path = tmp_path / "loose.ini"
+        path.write_text("[experiment]\nconvention = loose\n")
+        assert main(["fig2", "--config", str(path)]) == 2
+        assert "[experiment] convention" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, text", [
         ("scalar_grid.json", '{"grid": {"q": 0.2}}'),
         ("no_section.ini", "q = 0.2\n"),

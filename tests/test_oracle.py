@@ -26,6 +26,7 @@ from aoi_secrecy.analytics import (
     OutageConvention,
     StationaryQuery,
     average_secrecy_age,
+    outage_event,
     outage_probability,
     positive_gap_mass,
     secrecy_gap_pmf,
@@ -285,13 +286,12 @@ class TestOracleMetrics:
         thr = SecrecyThreshold(5)
         slack = outage_truncation_bound(st.chain) + 1e-9
         for conv in OutageConvention:
-            rep = oracle_metrics(st, thr, conv)
+            rep = oracle_metrics(st, outage_event(thr, conv))
             assert rep.outage_probability == pytest.approx(
                 outage_probability(P, HALF, thr, conv), abs=slack
             )
-            assert rep.convention == conv.value
-        strict = oracle_metrics(st, thr, OutageConvention.STRICT_DEFINITION)
-        printed = oracle_metrics(st, thr, OutageConvention.PAPER_PRINTED)
+        strict = oracle_metrics(st, 5)
+        printed = oracle_metrics(st, 4)
         assert strict.outage_event == 5
         assert printed.outage_event == 4
         # measured difference between the conventions is the pmf at eta_th
@@ -305,7 +305,7 @@ class TestOracleMetrics:
         bounds = []
         for n in (100, 200, 400):
             st = steady_state(build_truncated_chain(SLOW, policy, n))
-            rep = oracle_metrics(st, SecrecyThreshold(5))
+            rep = oracle_metrics(st, 5)
             # the truncation bound is near-exact, so the realized error can
             # sit a rounding epsilon above it; 1e-9 covers iteration residual
             diff = abs(rep.average_secrecy_age - closed_mean)
@@ -318,6 +318,11 @@ class TestOracleMetrics:
             bounds.append((rep.mean_error_bound, rep.outage_error_bound))
         assert bounds[0][0] > bounds[1][0] > bounds[2][0]
         assert bounds[0][1] > bounds[1][1] > bounds[2][1]
+
+    def test_negative_event_rejected(self):
+        st = steady_state(build_truncated_chain(P, HALF, 60))
+        with pytest.raises(ValueError, match="event index"):
+            oracle_metrics(st, -1)
 
     def test_mean_bound_infinite_when_q_zero(self):
         chain = build_truncated_chain(ChannelParams(0.8, 0.0), HALF, 30)
@@ -364,7 +369,7 @@ class TestClosedFormAgreement:
         assert abs(oracle_metrics(state).average_secrecy_age - average_secrecy_age(params, policy)) <= TOL_MEAN
         slack = TOL_PROB + outage_truncation_bound(state.chain)
         for convention in OutageConvention:
-            measured = oracle_metrics(state, threshold, convention).outage_probability
+            measured = oracle_metrics(state, outage_event(threshold, convention)).outage_probability
             assert abs(measured - outage_probability(params, policy, threshold, convention)) <= slack
 
 
@@ -376,21 +381,28 @@ class TestTruncationSizing:
             assert (1 - r_e) ** n / r_e <= tol
             assert (1 - r_e) ** (n - 1) / r_e > tol
 
+    def test_tiny_reset_rates(self):
+        # at p_tx q = 1e-17, 1 - r_e rounds to 1: the truncation is still
+        # finite and minimal, far beyond any run's cap
+        n = truncation_for_mean_tol(ChannelParams(0.8, 1.0), Policy(1e-17), 1e-7)
+        assert n > 10**18
+        assert math.exp(n * math.log1p(-1e-17)) / 1e-17 == pytest.approx(1e-7, rel=1e-9)
+        # at the smallest subnormal rate no float truncation is finite
+        with pytest.raises(ValueError, match=r"tol 1e-07 at reset rate p_tx q = 5e-324"):
+            truncation_for_mean_tol(ChannelParams(0.8, 1.0), Policy(5e-324), 1e-7)
+
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             truncation_for_mean_tol(ChannelParams(0.8, 0.0), HALF, 1e-6)
-        for tol in (0.0, -1e-6, math.nan):
+        for tol in (0.0, -1e-6, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive"):
                 truncation_for_mean_tol(P, HALF, tol)
 
 
-# the only analytics names the measurement routes may share: the event
-# convention, never a closed form
-SHARED_WITH_ANALYTICS = {"OutageConvention", "DEFAULT_CONVENTION", "outage_event"}
-
-
 @pytest.mark.parametrize("module", ["oracle.py", "simulate.py"])
 def test_route_does_not_import_closed_forms(module):
+    # the measurement routes take the outage event index, so they share
+    # nothing with analytics, not even the threshold convention
     tree = ast.parse((Path(aoi_secrecy.__file__).parent / module).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -398,7 +410,6 @@ def test_route_does_not_import_closed_forms(module):
         elif isinstance(node, ast.ImportFrom):
             names = {alias.name for alias in node.names}
             source = (node.module or "").rpartition(".")[2]
-            if source == "analytics":
-                assert names <= SHARED_WITH_ANALYTICS, f"{module} imports {names - SHARED_WITH_ANALYTICS}"
-            elif source in ("", "aoi_secrecy"):
+            assert source != "analytics", f"{module} imports {names} from analytics"
+            if source in ("", "aoi_secrecy"):
                 assert "analytics" not in names, f"{module} imports the analytics module"

@@ -6,21 +6,21 @@ approximation, wide enough to be stable but tight enough to catch a broken
 sampler.
 """
 
-import csv
-
 import numpy as np
 import pytest
 
 from aoi_secrecy.analytics import (
     OutageConvention,
     average_secrecy_age,
+    outage_event,
     outage_probability,
     secrecy_gap_pmf,
 )
-from aoi_secrecy.model import AgeState, ChannelParams, Policy, SecrecyThreshold, sample_slot
+from aoi_secrecy.model import AgeState, ChannelParams, Policy, SecrecyThreshold, sample_slot, secrecy_age
 from aoi_secrecy.simulate import (
     MAX_SLOTS,
     SimConfig,
+    _walk,
     aggregate,
     estimate,
     run_replication,
@@ -40,7 +40,6 @@ def pinned_run():
         burn_in=2_000,
         replications=8,
         base_seed=PINNED_SEED,
-        threshold=SecrecyThreshold(5),
     )
     stats = [run_replication(P, ALWAYS, config, r) for r in range(config.replications)]
     return config, stats
@@ -78,10 +77,8 @@ class TestDegenerateChains:
         assert est.mean_halfwidth == 0.0
 
     def test_outage_certain_when_gap_never_opens(self):
-        config = SimConfig(
-            horizon=5_000, burn_in=0, replications=2, base_seed=3, threshold=SecrecyThreshold(4)
-        )
-        est = estimate(ChannelParams(1.0, 1.0), Policy(0.7), config)
+        config = SimConfig(horizon=5_000, burn_in=0, replications=2, base_seed=3)
+        est = estimate(ChannelParams(1.0, 1.0), Policy(0.7), config, event=4)
         assert est.outage_estimate == 1.0
         assert est.outage_halfwidth == 0.0
         assert est.outage_event == 4
@@ -98,17 +95,15 @@ class TestDegenerateChains:
 
 class TestDeterminism:
     def test_repeat_runs_bit_identical(self):
-        config = SimConfig(horizon=20_000, burn_in=500, replications=4, base_seed=99,
-                           threshold=SecrecyThreshold(3))
-        first = estimate(P, HALF, config)
-        second = estimate(P, HALF, config)
+        config = SimConfig(horizon=20_000, burn_in=500, replications=4, base_seed=99)
+        first = estimate(P, HALF, config, event=3)
+        second = estimate(P, HALF, config, event=3)
         assert first == second
 
     def test_worker_count_invisible(self):
-        config = SimConfig(horizon=20_000, burn_in=500, replications=6, base_seed=99,
-                           threshold=SecrecyThreshold(3))
-        serial = estimate(P, HALF, config, workers=1)
-        threaded = estimate(P, HALF, config, workers=4)
+        config = SimConfig(horizon=20_000, burn_in=500, replications=6, base_seed=99)
+        serial = estimate(P, HALF, config, event=3, workers=1)
+        threaded = estimate(P, HALF, config, event=3, workers=4)
         assert serial == threaded
 
     def test_replications_use_distinct_streams(self):
@@ -117,29 +112,25 @@ class TestDeterminism:
         b = run_replication(P, HALF, config, 1)
         assert not np.array_equal(a.gap_hist, b.gap_hist)
 
-    def test_matches_scalar_walk_slot_by_slot(self, tmp_path):
-        # the vectorized replication and a scalar sample_slot walk driven by
-        # the same stream must visit identical states
+    def test_matches_scalar_walk_slot_by_slot(self):
+        # the vectorized walk and a scalar sample_slot walk driven by the
+        # same stream must visit identical states
         params, policy, seed, rep = ChannelParams(0.6, 0.3), Policy(0.8), 1234, 2
+        config = SimConfig(horizon=300, burn_in=50, base_seed=seed)
         n_states = 350
-        trace = tmp_path / "trace.csv"
-        run_replication(
-            params, policy,
-            SimConfig(horizon=300, burn_in=50, base_seed=seed),
-            rep, trace_path=str(trace),
-        )
-        with open(trace, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == n_states
+        ages_d, ages_e = _walk(params, policy, config, rep)
+        assert len(ages_d) == len(ages_e) == n_states
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
         state = AgeState(1, 1)
-        for t, row in enumerate(rows):
+        observed = []
+        for t in range(n_states):
             if t > 0:
                 state = sample_slot(state, params, policy, rng)
-            assert int(row["slot"]) == t
-            assert int(row["delta_d"]) == state.delta_d
-            assert int(row["delta_e"]) == state.delta_e
-            assert int(row["secrecy_age"]) == max(state.delta_e - state.delta_d, 0)
+            assert (ages_d[t], ages_e[t]) == (state.delta_d, state.delta_e)
+            if t >= config.burn_in:
+                observed.append(secrecy_age(state))
+        # the replication's histogram is that of the scalar walk's window
+        assert np.array_equal(run_replication(params, policy, config, rep).gap_hist, np.bincount(observed))
 
 
 class TestStatisticalAgreement:
@@ -158,9 +149,13 @@ class TestStatisticalAgreement:
 
     def test_corner_state_frequency(self, pinned_run):
         # occupancy of (1, 1) estimates p_tx * p * q = 0.16 at p_tx = 1
-        _, stats = pinned_run
+        config, stats = pinned_run
         total = sum(s.slots_observed for s in stats)
-        freq = sum(s.state11_count for s in stats) / total
+        hits = 0
+        for r in range(config.replications):
+            ages_d, ages_e = _walk(P, ALWAYS, config, r)
+            hits += np.count_nonzero((ages_d[config.burn_in :] == 1) & (ages_e[config.burn_in :] == 1))
+        freq = hits / total
         target = 1.0 * 0.8 * 0.2
         sigma = (target * (1 - target) / total) ** 0.5
         assert abs(freq - target) < 4.0 * sigma
@@ -189,9 +184,8 @@ class TestStatisticalAgreement:
 
 class TestAggregation:
     def test_single_replication_has_no_interval(self):
-        config = SimConfig(horizon=5_000, burn_in=100, replications=1, base_seed=11,
-                           threshold=SecrecyThreshold(2))
-        est = estimate(P, HALF, config)
+        config = SimConfig(horizon=5_000, burn_in=100, replications=1, base_seed=11)
+        est = estimate(P, HALF, config, event=2)
         assert est.mean_halfwidth is None
         assert est.outage_halfwidth is None
         assert est.replications == 1
@@ -203,10 +197,10 @@ class TestAggregation:
         assert est.outage_event is None
 
     def test_convention_shifts_the_event(self):
-        config = SimConfig(horizon=2_000, burn_in=0, replications=2, base_seed=1,
-                           threshold=SecrecyThreshold(5))
-        strict = estimate(P, HALF, config, convention=OutageConvention.STRICT_DEFINITION)
-        printed = estimate(P, HALF, config, convention=OutageConvention.PAPER_PRINTED)
+        config = SimConfig(horizon=2_000, burn_in=0, replications=2, base_seed=1)
+        thr = SecrecyThreshold(5)
+        strict = estimate(P, HALF, config, outage_event(thr, OutageConvention.STRICT_DEFINITION))
+        printed = estimate(P, HALF, config, outage_event(thr, OutageConvention.PAPER_PRINTED))
         assert strict.outage_event == 5
         assert printed.outage_event == 4
         assert printed.outage_estimate <= strict.outage_estimate
