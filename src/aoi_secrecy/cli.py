@@ -14,9 +14,20 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .sweeps import EXPERIMENTS, RUNNERS, SETTINGS, load_config, make_spec
+
+
+def _flag_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """Refuse a flag with its parser's message, as its config key is;
+    argparse would print the parser's function name instead."""
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="INI or JSON settings file")
         for setting in SETTINGS:
             if kind in setting.experiments:
-                cmd.add_argument(setting.flag, dest=setting.field, type=setting.parse, help=setting.help)
+                cmd.add_argument(setting.flag, dest=setting.field, type=_flag_type(setting.parse), help=setting.help)
     return parser
 
 

@@ -55,10 +55,6 @@ class TruncatedChain:
     p_neither: float
 
     @property
-    def n_states(self) -> int:
-        return self.truncation * self.truncation
-
-    @property
     def reset_rate_d(self) -> float:
         return self.p_both + self.p_only_d
 
@@ -123,7 +119,7 @@ class TruncatedChain:
                     rows.append(src)
                     cols.append(dst)
                     vals.append(prob)
-        return csr_matrix((vals, (rows, cols)), shape=(self.n_states, self.n_states))
+        return csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
 
 
 def build_truncated_chain(params: ChannelParams, policy: Policy, truncation: int) -> TruncatedChain:
@@ -154,18 +150,6 @@ class SteadyState:
     pi: np.ndarray  # pi[i-1, j-1] = stationary mass on (i, j)
     residual: float  # L1 norm of pi @ T - pi
     iterations: int  # operator applications spent: the one check
-
-    def prob(self, i: int, j: int) -> float:
-        return float(self.pi[i - 1, j - 1])
-
-    @property
-    def boundary_mass_d(self) -> float:
-        """Stationary mass sitting on the clamped row delta_d = N."""
-        return float(self.pi[-1, :].sum())
-
-    @property
-    def boundary_mass_e(self) -> float:
-        return float(self.pi[:, -1].sum())
 
 
 def _clamped_age_law(reset: float, grow: float, n: int) -> np.ndarray:

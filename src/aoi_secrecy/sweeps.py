@@ -194,7 +194,10 @@ def _int(raw: Any) -> int:
     """Strings may carry a base prefix (0x10); booleans and non-integral
     numbers are rejected rather than truncated."""
     if isinstance(raw, str):
-        return int(raw, 0)
+        try:
+            return int(raw, 0)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {raw!r}") from None
     if isinstance(raw, float) and raw.is_integer():
         return int(raw)
     if isinstance(raw, int) and not isinstance(raw, bool):
@@ -222,7 +225,10 @@ def _strs(raw: Any) -> tuple[str, ...]:
 
 
 def _convention(raw: Any) -> OutageConvention:
-    return OutageConvention(str(raw))
+    try:
+        return OutageConvention(str(raw))
+    except ValueError:
+        raise ValueError(f"expected 'strict' or 'paper', got {raw!r}") from None
 
 
 @dataclass(frozen=True)

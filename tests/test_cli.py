@@ -486,13 +486,24 @@ class TestErrorPaths:
         assert "at least two" in capsys.readouterr().err
 
     def test_bad_convention_label(self, no_leg_runs, tmp_path, capsys):
+        # a flag and its config key are refused with the same message,
+        # which names both labels
+        message = "expected 'strict' or 'paper', got 'loose'"
         with pytest.raises(SystemExit) as exit_:
             main(["fig2", "--convention", "loose"])
         assert exit_.value.code == 2
+        assert f"argument --convention: {message}" in capsys.readouterr().err
         path = tmp_path / "loose.ini"
         path.write_text("[experiment]\nconvention = loose\n")
         assert main(["fig2", "--config", str(path)]) == 2
-        assert "[experiment] convention" in capsys.readouterr().err
+        assert f"[experiment] convention: {message}" in capsys.readouterr().err
+        # a flag keeps its parser's message, not the parser's function name
+        with pytest.raises(SystemExit) as exit_:
+            main(["fig2", "--horizon", "1.5"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --horizon: expected an integer, got '1.5'" in err
+        assert "_int" not in err
 
     @pytest.mark.parametrize("name, text", [
         ("scalar_grid.json", '{"grid": {"q": 0.2}}'),

@@ -26,9 +26,11 @@ from aoi_secrecy.analytics import (
     OutageConvention,
     StationaryQuery,
     average_secrecy_age,
+    col_sum,
     outage_event,
     outage_probability,
     positive_gap_mass,
+    row_sum,
     secrecy_gap_pmf,
     stationary_block,
     stationary_pi,
@@ -131,7 +133,6 @@ class TestChainConstruction:
         assert chain.p_neither == probs[(3, 3)]
         assert chain.reset_rate_d == pytest.approx(0.5 * 0.8, abs=1e-15)
         assert chain.reset_rate_e == pytest.approx(0.5 * 0.2, abs=1e-15)
-        assert chain.n_states == 2500
 
     def test_truncation_must_be_at_least_two(self):
         with pytest.raises(ValueError):
@@ -199,13 +200,13 @@ class TestSteadyState:
     def test_certain_delivery_pins_the_corner(self):
         chain = build_truncated_chain(ChannelParams(1.0, 1.0), Policy(1.0), 6)
         st = steady_state(chain)
-        assert st.prob(1, 1) == pytest.approx(1.0, abs=1e-12)
+        assert st.pi[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert power_iteration(chain)[1] <= 10
 
     def test_frozen_corner_probability(self):
         st = steady_state(build_truncated_chain(P, HALF, 200))
-        assert st.prob(1, 1) == pytest.approx(0.08, abs=1e-11)
-        assert st.prob(2, 2) == pytest.approx(0.0464, abs=1e-11)
+        assert st.pi[0, 0] == pytest.approx(0.08, abs=1e-11)
+        assert st.pi[1, 1] == pytest.approx(0.0464, abs=1e-11)
         assert st.residual <= 1e-12
 
     def test_interior_entries_match_closed_block(self):
@@ -251,8 +252,9 @@ class TestSteadyState:
     def test_boundary_masses_match_exact_tail(self):
         st = steady_state(build_truncated_chain(SLOW, HALF, 80))
         tail_d, tail_e = st.chain.stationary_tail_bounds()
-        assert st.boundary_mass_d == pytest.approx(tail_d, rel=1e-9)
-        assert st.boundary_mass_e == pytest.approx(tail_e, rel=1e-9)
+        # the clamped row delta_d = N and column delta_e = N
+        assert st.pi[-1, :].sum() == pytest.approx(tail_d, rel=1e-9)
+        assert st.pi[:, -1].sum() == pytest.approx(tail_e, rel=1e-9)
 
 
 class TestGapPmf:
@@ -366,6 +368,11 @@ class TestClosedFormAgreement:
         # every entry off the clamped last row and column is exact
         closed = stationary_block(params, policy, BLOCK)
         assert np.max(np.abs(state.pi[:BLOCK, :BLOCK] - closed)) <= 1e-9
+        # and so is each marginal off the clamp: geometric in its reset rate
+        rows = [row_sum(i, params, policy) for i in range(1, n)]
+        cols = [col_sum(j, params, policy) for j in range(1, n)]
+        assert np.max(np.abs(state.pi.sum(axis=1)[: n - 1] - rows)) <= 1e-12
+        assert np.max(np.abs(state.pi.sum(axis=0)[: n - 1] - cols)) <= 1e-12
         assert abs(oracle_metrics(state).average_secrecy_age - average_secrecy_age(params, policy)) <= TOL_MEAN
         slack = TOL_PROB + outage_truncation_bound(state.chain)
         for convention in OutageConvention:

@@ -6,6 +6,8 @@ approximation, wide enough to be stable but tight enough to catch a broken
 sampler.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,12 +63,24 @@ class TestSimConfig:
             SimConfig(base_seed=2**64)
 
     def test_slot_bound(self):
-        # a replication holds its whole trajectory, about 61 MB per 10**6 slots
+        # a replication holds its whole trajectory, under 28 bytes per slot
         SimConfig(horizon=MAX_SLOTS - 10, burn_in=10)
         with pytest.raises(ValueError, match=f"= {MAX_SLOTS + 1} slots exceeds the per-replication bound {MAX_SLOTS}"):
             SimConfig(horizon=MAX_SLOTS, burn_in=1)
         with pytest.raises(ValueError, match="exceeds the per-replication bound"):
             SimConfig(horizon=2**62)
+
+    def test_replication_memory_per_slot(self):
+        # the figure stated beside MAX_SLOTS: at most 28 traced bytes per slot
+        config = SimConfig(horizon=10**6, burn_in=10**3, base_seed=4)
+        run_replication(P, HALF, config, 0)
+        tracemalloc.start()
+        try:
+            run_replication(P, HALF, config, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (config.burn_in + config.horizon) <= 28
 
 
 class TestDegenerateChains:
@@ -118,8 +132,11 @@ class TestDeterminism:
         params, policy, seed, rep = ChannelParams(0.6, 0.3), Policy(0.8), 1234, 2
         config = SimConfig(horizon=300, burn_in=50, base_seed=seed)
         n_states = 350
-        ages_d, ages_e = _walk(params, policy, config, rep)
-        assert len(ages_d) == len(ages_e) == n_states
+        last_d, last_e = _walk(params, policy, config, rep)
+        assert len(last_d) == len(last_e) == n_states
+        assert last_d[0] == last_e[0] == 0
+        ages_d = np.arange(n_states) - last_d + 1
+        ages_e = np.arange(n_states) - last_e + 1
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
         state = AgeState(1, 1)
         observed = []
@@ -152,9 +169,11 @@ class TestStatisticalAgreement:
         config, stats = pinned_run
         total = sum(s.slots_observed for s in stats)
         hits = 0
+        slots = np.arange(config.burn_in, config.burn_in + config.horizon)
         for r in range(config.replications):
-            ages_d, ages_e = _walk(P, ALWAYS, config, r)
-            hits += np.count_nonzero((ages_d[config.burn_in :] == 1) & (ages_e[config.burn_in :] == 1))
+            last_d, last_e = _walk(P, ALWAYS, config, r)
+            # both ages are 1 exactly where both sides reset in this slot
+            hits += np.count_nonzero((last_d[config.burn_in :] == slots) & (last_e[config.burn_in :] == slots))
         freq = hits / total
         target = 1.0 * 0.8 * 0.2
         sigma = (target * (1 - target) / total) ** 0.5
