@@ -16,6 +16,7 @@ import sys
 from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
 
+from .oracle import StationarityError
 from .sweeps import EXPERIMENTS, RUNNERS, SETTINGS, load_config, make_spec
 
 
@@ -66,6 +67,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except StationarityError as err:
+        # a failed check rather than a rejected setting: work already ran
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     if result.summary:
         print(result.summary)
     return result.exit_code

@@ -2,10 +2,13 @@
 
 Each replication walks the exact one-slot law from state (1, 1) using one
 uniform draw per slot (the same thresholds sample_slot uses, so a scalar
-walk with the same stream visits the same states). It keeps the slot of the
+walk with the same stream visits the same states). It tracks the slot of the
 last reset on each side, whose difference is the secrecy age, and reduces
-the observation window to a gap histogram. Replications are aggregated into
-normal-approximation confidence intervals across replication means.
+the observation window to a gap histogram. The walk streams through blocks
+of _CHUNK slots, so a replication's memory is about 1 MB whatever its
+horizon, besides the histogram (one entry per gap up to the largest seen).
+Replications are aggregated into normal-approximation confidence intervals
+across replication means.
 
 Seeding is stateless: replication r of base seed s draws from
 SeedSequence(entropy=s, spawn_key=(r,)), so any execution order or degree
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,10 +30,15 @@ DEFAULT_HORIZON = 10**6
 DEFAULT_BURN_IN = 10**4
 DEFAULT_REPLICATIONS = 32
 
-# most slots (burn_in + horizon) one replication may simulate: run_replication
-# holds the whole trajectory, and its traced peak is at most 28 bytes per slot
-# (26 measured at 10**6 slots), so one replication stays under 0.3 GB
-MAX_SLOTS = 10**7
+# most slots (burn_in + horizon) one replication may simulate. Memory does not
+# bound it (a replication streams through fixed-size blocks); time does, at
+# 1-2 s for 10**8 slots on a 2-vCPU machine. It must stay below 2**31
+# so the int32 slot indices of the walk cannot overflow
+MAX_SLOTS = 10**8
+
+# slots per block of the streamed walk: its buffers (about 1 MB) stay in
+# cache, and one replication's memory does not grow with its horizon
+_CHUNK = 1 << 15
 
 _Z95 = 1.959963984540054
 
@@ -105,40 +113,73 @@ class SimEstimate:
 
 def _walk(
     params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The replication's whole trajectory as (last_d, last_e), burn-in included.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The replication's trajectory, burn-in included, as successive blocks
+    (first_slot, last_d, last_e) of at most _CHUNK slots.
 
-    last_d[t] and last_e[t] are the slots of the most recent reset on each
-    side at or before slot t, the start state (1, 1) acting as a reset of
-    both at slot 0, so the ages are t - last + 1 and the secrecy age is
-    max(last_d - last_e, 0). The traced peak is about 26 bytes per slot,
-    which MAX_SLOTS bounds.
+    last_d[i] and last_e[i] are the slots of the most recent reset on each
+    side at or before slot first_slot + i, the start state (1, 1) acting as a
+    reset of both at slot 0, so the ages are t - last + 1 and the secrecy age
+    is max(last_d - last_e, 0). Slot t >= 1 consumes the t-th uniform of the
+    replication's stream, drawn block by block. The arrays are int32
+    (MAX_SLOTS < 2**31) and their buffers are reused: a block is valid only
+    until the next one is drawn.
     """
     n_slots = config.burn_in + config.horizon
     seq = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(replication_index,))
-    u = np.random.default_rng(seq).random(n_slots - 1)
+    rng = np.random.default_rng(seq)
     c1, c2, c3 = slot_thresholds(params, policy)
-    d_reset = (u < c1) | ((u >= c2) & (u < c3))
-    e_reset = u < c2
-    del u  # drop the uniforms before the int64 arrays exist: 8 B/slot off the peak
-    # slot t where that side resets, else 0; the running max is the last reset
-    times = np.arange(1, n_slots, dtype=np.int64)
-    last_d, last_e = np.zeros((2, n_slots), dtype=np.int64)
-    np.multiply(times, d_reset, out=last_d[1:])
-    np.multiply(times, e_reset, out=last_e[1:])
-    np.maximum.accumulate(last_d, out=last_d)
-    np.maximum.accumulate(last_e, out=last_e)
-    return last_d, last_e
+    size = min(_CHUNK, n_slots)
+    u = np.zeros(size)
+    last_d, last_e = np.zeros((2, size), dtype=np.int32)
+    for first in range(0, n_slots, size):
+        m = min(size, n_slots - first)
+        # slot 0 draws nothing: as slot number 0 its last-reset slots are 0
+        # whatever u[0] holds
+        rng.random(out=u[int(first == 0) : m])
+        block = u[:m]
+        d_reset = (block < c1) | ((block >= c2) & (block < c3))
+        e_reset = block < c2
+        slots = np.arange(first, first + m, dtype=np.int32)
+        # slot t where that side resets, else 0; the running max is the last
+        # reset, carried in through element 0 from the previous (full) block,
+        # or 0 before the first
+        for last, reset in ((last_d, d_reset), (last_e, e_reset)):
+            carried = last[-1]
+            np.multiply(slots, reset, out=last[:m])
+            last[0] = max(last[0], carried)
+            np.maximum.accumulate(last[:m], out=last[:m])
+        yield first, last_d[:m], last_e[:m]
 
 
 def run_replication(
     params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
 ) -> ReplicationStats:
-    """Simulate one replication and reduce its observation window to a gap histogram."""
-    last_d, last_e = _walk(params, policy, config, replication_index)
-    gap = last_d[config.burn_in :] - last_e[config.burn_in :]
-    np.clip(gap, 0, None, out=gap)
-    return ReplicationStats(slots_observed=config.horizon, gap_hist=np.bincount(gap, minlength=1))
+    """Simulate one replication and reduce its observation window to a gap
+    histogram, block by block, so memory does not grow with the horizon."""
+    hist = np.zeros(1, dtype=np.int64)
+    top = 1  # the largest gap + 1; hist beyond it is spare capacity
+    buf = np.empty(min(_CHUNK, config.burn_in + config.horizon), dtype=np.int32)
+    for first, last_d, last_e in _walk(params, policy, config, replication_index):
+        skip = max(config.burn_in - first, 0)
+        if skip >= len(last_d):
+            continue
+        last_d, last_e = last_d[skip:], last_e[skip:]
+        # every gap in the block is at least last_d[0] - last_e[-1], since
+        # last-reset slots never decrease; counting from there keeps the
+        # counts block-sized where the gap grows without bound (q = 0)
+        low = max(int(last_d[0]) - int(last_e[-1]), 0)
+        # the gap max(last_d - last_e, 0) is last_d - min(last_d, last_e)
+        gap = np.minimum(last_d, last_e, out=buf[: len(last_d)])
+        np.subtract(last_d, gap, out=gap)
+        np.subtract(gap, low, out=gap)
+        counts = np.bincount(gap)
+        end = low + len(counts)
+        if end > len(hist):  # grow geometrically: q = 0 raises the top gap every block
+            hist = np.concatenate([hist, np.zeros(max(end, 2 * len(hist)) - len(hist), dtype=np.int64)])
+        hist[low:end] += counts
+        top = max(top, end)
+    return ReplicationStats(slots_observed=config.horizon, gap_hist=hist[:top].copy())
 
 
 def _ci(values: Sequence[float]) -> tuple[float, Optional[float]]:

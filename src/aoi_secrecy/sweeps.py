@@ -160,6 +160,11 @@ class SweepSpec:
                     raise ValueError(f"{name} grid value {v} out of range")
         if not all(r > 0 for r in self.ratio_values):
             raise ValueError("ratio grid values must be positive")
+        # where neither side ever resets no route defines the secrecy age;
+        # fig1's p is ratio * q, so its q = 0 points all have p = 0
+        if 0.0 in self.q_values and (self.experiment == "fig1" or 0.0 in self.p_values):
+            where = "q=0 (p = ratio * q = 0)" if self.experiment == "fig1" else "p=0 q=0"
+            raise ValueError(f"{self.experiment} grid point {where}: p = q = 0, no resets ever happen")
         if any(not (isinstance(e, int) and e >= 1) for e in self.eta_values):
             raise ValueError("eta grid values must be integers >= 1")
         if self.workers < 1:

@@ -20,9 +20,15 @@ from aoi_secrecy import sweeps
 from aoi_secrecy.analytics import OutageConvention
 from aoi_secrecy.cli import build_parser, main
 from aoi_secrecy.model import ChannelParams, Policy
-from aoi_secrecy.oracle import build_truncated_chain, outage_truncation_bound, truncation_for_mean_tol
+from aoi_secrecy.oracle import (
+    StationarityError,
+    build_truncated_chain,
+    outage_truncation_bound,
+    truncation_for_mean_tol,
+)
 from aoi_secrecy.sweeps import (
     EXPERIMENTS,
+    METHODS,
     SETTINGS,
     SweepSpec,
     _fmt,
@@ -570,14 +576,51 @@ class TestErrorPaths:
         ("--replications", "1", "needs replications >= 2, got 1"),
         ("--burn-in", "200000", "burn_in 200000 must be smaller than horizon 100000"),
         ("--seed", "-1", "seed must be an integer in [0, 2**64), got -1"),
-        # one replication holds its whole trajectory: refused by the slot
-        # bound before any memory is allocated
-        ("--horizon", "1000000000", "burn_in + horizon = 1000001000 slots exceeds the per-replication bound 10000000"),
+        # one replication's time is bounded by the slot bound, checked
+        # before any leg runs
+        ("--horizon", "1000000000", "burn_in + horizon = 1000001000 slots exceeds the per-replication bound 100000000"),
     ])
     def test_bad_simulation_setting_rejected_before_any_leg(self, no_leg_runs, capsys, flag, value, message):
         code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, where", [
+        # the q=0 points of fig1 come after Monte Carlo work on the q=0.2 ones
+        (["fig1", "--q", "0.2,0", "--methods", "closed_form,monte_carlo", "--replications", "4"],
+         "fig1 grid point q=0 (p = ratio * q = 0)"),
+        (["fig1", "--q", "0", "--methods", "oracle"], "fig1 grid point q=0 (p = ratio * q = 0)"),
+        (["fig2", "--p", "0.8,0", "--q", "0.2,0", "--methods", "closed_form,oracle"], "fig2 grid point p=0 q=0"),
+        (["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), "--p", "0.3,0", "--q", "0,0.5"],
+         "compare grid point p=0 q=0"),
+        (["optimize", "--p", "0", "--q", "0.2,0"], "optimize grid point p=0 q=0"),
+    ])
+    def test_no_reset_point_rejected_before_any_leg(self, no_leg_runs, capsys, argv, where):
+        # no route defines the secrecy age where neither side ever resets
+        assert main(argv) == 2
+        assert f"error: {where}: p = q = 0, no resets ever happen" in capsys.readouterr().err
+
+    def test_one_silent_side_is_a_point(self):
+        # p = 0 or q = 0 alone is a valid point (the gap stays 0 or grows
+        # without bound); only both together are refused
+        grids = dict(ptx_values=(0.5,), eta_values=(5,))
+        SweepSpec(experiment="compare", methods=METHODS, p_values=(0.0, 0.8), q_values=(0.2,), **grids)
+        SweepSpec(experiment="compare", methods=METHODS, p_values=(0.8,), q_values=(0.0, 0.2), **grids)
+
+    def test_failed_stationarity_check_is_one_error_line(self, monkeypatch, capsys):
+        # a leg's failed check ends the run with one error line and exit 1,
+        # not a traceback, and not the exit 2 of a rejected setting
+        def failing_oracle(*args):
+            raise StationarityError(3e-9, 1e-12)
+
+        monkeypatch.setitem(sweeps._LEGS, "oracle", failing_oracle)
+        code = main(["fig1", "--methods", "closed_form,oracle", "--q", "0.2", "--ptx", "0.5", "--ratio", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: stationarity residual 3.000e-09 > tol 1.000e-12"
+        ]
+        assert "Traceback" not in err
 
     def test_config_for_another_experiment(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

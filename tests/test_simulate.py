@@ -1,4 +1,5 @@
-"""Monte Carlo engine: exactness on degenerate chains, bit-level determinism,
+"""Monte Carlo engine: pinned histogram digests, exactness on degenerate
+chains, bit-level determinism, invariance to the block size,
 agreement with the scalar walk, and statistical agreement with closed forms.
 
 Statistical assertions use pinned seeds and tolerances set from the normal
@@ -6,11 +7,13 @@ approximation, wide enough to be stable but tight enough to catch a broken
 sampler.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from aoi_secrecy import simulate
 from aoi_secrecy.analytics import (
     OutageConvention,
     average_secrecy_age,
@@ -35,6 +38,18 @@ ALWAYS = Policy(1.0)
 PINNED_SEED = 20260816
 
 
+def trajectory(params, policy, config, replication_index):
+    """The whole (last_d, last_e) trajectory, joined from the blocks _walk
+    yields; each block is copied, since _walk reuses its buffers."""
+    firsts, blocks_d, blocks_e = [], [], []
+    for first, last_d, last_e in _walk(params, policy, config, replication_index):
+        firsts.append(first)
+        blocks_d.append(last_d.copy())
+        blocks_e.append(last_e.copy())
+    assert firsts == list(range(0, config.burn_in + config.horizon, simulate._CHUNK))
+    return np.concatenate(blocks_d), np.concatenate(blocks_e)
+
+
 @pytest.fixture(scope="module")
 def pinned_run():
     config = SimConfig(
@@ -45,6 +60,80 @@ def pinned_run():
     )
     stats = [run_replication(P, ALWAYS, config, r) for r in range(config.replications)]
     return config, stats
+
+
+# sha256 (first 16 hex digits) of the gap_hist dtype string and bytes of
+# run_replication(ChannelParams(p, q), Policy(p_tx), SimConfig(horizon,
+# burn_in, base_seed=77), 3), keyed (point, burn_in, horizon). The strata:
+# p, q in {0, 1} at p_tx = 1, a sparse (p_tx 0.05) and a dense (p_tx 1)
+# interior point; burn-in 0, inside the first 2**15-slot block and past it;
+# horizons below, equal to and not a multiple of 2**15 slots. Any rewrite of
+# the replication kernel must keep every histogram, dtype included.
+GOLDEN_POINTS = {
+    "p0q0": (0.0, 0.0, 1.0),
+    "p0q1": (0.0, 1.0, 1.0),
+    "p1q0": (1.0, 0.0, 1.0),
+    "p1q1": (1.0, 1.0, 1.0),
+    "sparse": (0.6, 0.3, 0.05),
+    "dense": (0.6, 0.3, 1.0),
+}
+GAP_HIST_DIGESTS = {
+    ("p0q0", 0, 1000): "d6c7f10a5b7c9759",
+    ("p0q0", 0, 32768): "9334e22f1e538b0f",
+    ("p0q0", 0, 100003): "076c7a5ae2f009fb",
+    ("p0q0", 500, 1000): "d6c7f10a5b7c9759",
+    ("p0q0", 500, 32768): "9334e22f1e538b0f",
+    ("p0q0", 500, 100003): "076c7a5ae2f009fb",
+    ("p0q0", 40000, 100003): "076c7a5ae2f009fb",
+    ("p0q1", 0, 1000): "d6c7f10a5b7c9759",
+    ("p0q1", 0, 32768): "9334e22f1e538b0f",
+    ("p0q1", 0, 100003): "076c7a5ae2f009fb",
+    ("p0q1", 500, 1000): "d6c7f10a5b7c9759",
+    ("p0q1", 500, 32768): "9334e22f1e538b0f",
+    ("p0q1", 500, 100003): "076c7a5ae2f009fb",
+    ("p0q1", 40000, 100003): "076c7a5ae2f009fb",
+    ("p1q0", 0, 1000): "1c7d8df31f3b8cb4",
+    ("p1q0", 0, 32768): "d864e0e8055d912a",
+    ("p1q0", 0, 100003): "0cb65929dc769954",
+    ("p1q0", 500, 1000): "a21e365eb5ecc5a7",
+    ("p1q0", 500, 32768): "e4572d5f2889c753",
+    ("p1q0", 500, 100003): "465323d76db64f8f",
+    ("p1q0", 40000, 100003): "b2d6427b25aa8275",
+    ("p1q1", 0, 1000): "d6c7f10a5b7c9759",
+    ("p1q1", 0, 32768): "9334e22f1e538b0f",
+    ("p1q1", 0, 100003): "076c7a5ae2f009fb",
+    ("p1q1", 500, 1000): "d6c7f10a5b7c9759",
+    ("p1q1", 500, 32768): "9334e22f1e538b0f",
+    ("p1q1", 500, 100003): "076c7a5ae2f009fb",
+    ("p1q1", 40000, 100003): "076c7a5ae2f009fb",
+    ("sparse", 0, 1000): "2c0e9897af7998c1",
+    ("sparse", 0, 32768): "f977ccfde3c547e0",
+    ("sparse", 0, 100003): "f0681141d5aea2e9",
+    ("sparse", 500, 1000): "bd67e53350c3587d",
+    ("sparse", 500, 32768): "21a07d8c2a6d73c4",
+    ("sparse", 500, 100003): "c024d58b962a92ab",
+    ("sparse", 40000, 100003): "e5a8adc5372d16f2",
+    ("dense", 0, 1000): "231220f485419998",
+    ("dense", 0, 32768): "2020759c553d9980",
+    ("dense", 0, 100003): "f885a0c101050834",
+    ("dense", 500, 1000): "907a64856c73b519",
+    ("dense", 500, 32768): "13b2483d5855d5d0",
+    ("dense", 500, 100003): "12cc496f1ac3269f",
+    ("dense", 40000, 100003): "cad7c430b9ae3db0",
+}
+
+
+def hist_digest(hist: np.ndarray) -> str:
+    return hashlib.sha256(hist.dtype.str.encode() + hist.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, burn_in, horizon", sorted(GAP_HIST_DIGESTS), ids=str)
+def test_gap_hist_golden(name, burn_in, horizon):
+    p, q, p_tx = GOLDEN_POINTS[name]
+    config = SimConfig(horizon=horizon, burn_in=burn_in, base_seed=77)
+    stats = run_replication(ChannelParams(p, q), Policy(p_tx), config, 3)
+    assert stats.gap_hist.sum() == horizon
+    assert hist_digest(stats.gap_hist) == GAP_HIST_DIGESTS[name, burn_in, horizon]
 
 
 class TestSimConfig:
@@ -63,24 +152,28 @@ class TestSimConfig:
             SimConfig(base_seed=2**64)
 
     def test_slot_bound(self):
-        # a replication holds its whole trajectory, under 28 bytes per slot
+        # a time bound: memory is flat in the horizon, and the walk's int32
+        # slot indices need fewer than 2**31 slots
+        assert MAX_SLOTS < 2**31
         SimConfig(horizon=MAX_SLOTS - 10, burn_in=10)
         with pytest.raises(ValueError, match=f"= {MAX_SLOTS + 1} slots exceeds the per-replication bound {MAX_SLOTS}"):
             SimConfig(horizon=MAX_SLOTS, burn_in=1)
         with pytest.raises(ValueError, match="exceeds the per-replication bound"):
             SimConfig(horizon=2**62)
 
-    def test_replication_memory_per_slot(self):
-        # the figure stated beside MAX_SLOTS: at most 28 traced bytes per slot
-        config = SimConfig(horizon=10**6, burn_in=10**3, base_seed=4)
-        run_replication(P, HALF, config, 0)
-        tracemalloc.start()
-        try:
+    def test_replication_memory_flat_in_horizon(self):
+        # a replication streams through fixed-size blocks: its traced peak
+        # (about 1.1 MB) does not grow with the horizon
+        for horizon in (10**5, 10**6):
+            config = SimConfig(horizon=horizon, burn_in=10**3, base_seed=4)
             run_replication(P, HALF, config, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (config.burn_in + config.horizon) <= 28
+            tracemalloc.start()
+            try:
+                run_replication(P, HALF, config, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20, horizon
 
 
 class TestDegenerateChains:
@@ -132,7 +225,7 @@ class TestDeterminism:
         params, policy, seed, rep = ChannelParams(0.6, 0.3), Policy(0.8), 1234, 2
         config = SimConfig(horizon=300, burn_in=50, base_seed=seed)
         n_states = 350
-        last_d, last_e = _walk(params, policy, config, rep)
+        last_d, last_e = trajectory(params, policy, config, rep)
         assert len(last_d) == len(last_e) == n_states
         assert last_d[0] == last_e[0] == 0
         ages_d = np.arange(n_states) - last_d + 1
@@ -149,6 +242,28 @@ class TestDeterminism:
         # the replication's histogram is that of the scalar walk's window
         assert np.array_equal(run_replication(params, policy, config, rep).gap_hist, np.bincount(observed))
 
+    def test_matches_scalar_walk_across_blocks(self, monkeypatch):
+        # the same 350 states when the walk is cut into blocks of 7 slots
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
+        self.test_matches_scalar_walk_slot_by_slot()
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("params, policy", [
+        (ChannelParams(0.6, 0.3), Policy(1.0)),
+        (ChannelParams(0.6, 0.3), Policy(0.05)),
+        # q = 0: the gap grows without bound; p = 0: it never opens
+        (ChannelParams(0.7, 0.0), Policy(0.5)),
+        (ChannelParams(0.0, 0.4), Policy(0.5)),
+    ])
+    # burn-ins ending before, on and after the edges of 7-slot blocks
+    @pytest.mark.parametrize("burn_in", [0, 6, 7, 8, 13, 14, 15])
+    def test_block_size_invisible(self, monkeypatch, params, policy, chunk, burn_in):
+        config = SimConfig(horizon=1_003, burn_in=burn_in, base_seed=8)
+        expected = run_replication(params, policy, config, 1).gap_hist
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        got = run_replication(params, policy, config, 1).gap_hist
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
 class TestStatisticalAgreement:
     def test_mean_within_interval_of_closed_form(self, pinned_run):
@@ -171,7 +286,7 @@ class TestStatisticalAgreement:
         hits = 0
         slots = np.arange(config.burn_in, config.burn_in + config.horizon)
         for r in range(config.replications):
-            last_d, last_e = _walk(P, ALWAYS, config, r)
+            last_d, last_e = trajectory(P, ALWAYS, config, r)
             # both ages are 1 exactly where both sides reset in this slot
             hits += np.count_nonzero((last_d[config.burn_in :] == slots) & (last_e[config.burn_in :] == slots))
         freq = hits / total
