@@ -165,6 +165,13 @@ class SweepSpec:
         if 0.0 in self.q_values and (self.experiment == "fig1" or 0.0 in self.p_values):
             where = "q=0 (p = ratio * q = 0)" if self.experiment == "fig1" else "p=0 q=0"
             raise ValueError(f"{self.experiment} grid point {where}: p = q = 0, no resets ever happen")
+        # at p = 0 the receiver never resets: the objective is 0 at every p_tx
+        # and the p probe's grid argmax is only the grid's first point
+        if self.experiment == "optimize" and 0.0 in self.p_values:
+            raise ValueError(
+                "optimize grid point p=0: the receiver never resets, "
+                "so the objective is 0 at every p_tx and has no argmax"
+            )
         if any(not (isinstance(e, int) and e >= 1) for e in self.eta_values):
             raise ValueError("eta grid values must be integers >= 1")
         if self.workers < 1:

@@ -600,6 +600,17 @@ class TestErrorPaths:
         assert main(argv) == 2
         assert f"error: {where}: p = q = 0, no resets ever happen" in capsys.readouterr().err
 
+    def test_optimize_refuses_p_zero_before_any_work(self, monkeypatch, capsys):
+        # at p = 0 every p_tx scores 0, so the p probe would report a false FAIL
+        monkeypatch.setattr(sweeps, "objective", lambda *a: pytest.fail("the objective ran"))
+        assert main(["optimize", "--p", "0.5,0", "--q", "0.2"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: optimize grid point p=0: the receiver never resets, "
+            "so the objective is 0 at every p_tx and has no argmax"
+        ]
+
     def test_one_silent_side_is_a_point(self):
         # p = 0 or q = 0 alone is a valid point (the gap stays 0 or grows
         # without bound); only both together are refused

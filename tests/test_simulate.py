@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aoi_secrecy import simulate
 from aoi_secrecy.analytics import (
@@ -21,11 +23,19 @@ from aoi_secrecy.analytics import (
     outage_probability,
     secrecy_gap_pmf,
 )
-from aoi_secrecy.model import AgeState, ChannelParams, Policy, SecrecyThreshold, sample_slot, secrecy_age
+from aoi_secrecy.model import (
+    AgeState,
+    ChannelParams,
+    Policy,
+    SecrecyThreshold,
+    sample_slot,
+    secrecy_age,
+    slot_thresholds,
+)
 from aoi_secrecy.simulate import (
     MAX_SLOTS,
     SimConfig,
-    _walk,
+    _events,
     aggregate,
     estimate,
     run_replication,
@@ -39,15 +49,28 @@ PINNED_SEED = 20260816
 
 
 def trajectory(params, policy, config, replication_index):
-    """The whole (last_d, last_e) trajectory, joined from the blocks _walk
-    yields; each block is copied, since _walk reuses its buffers."""
-    firsts, blocks_d, blocks_e = [], [], []
-    for first, last_d, last_e in _walk(params, policy, config, replication_index):
-        firsts.append(first)
-        blocks_d.append(last_d.copy())
-        blocks_e.append(last_e.copy())
+    """The secrecy age at every slot, burn-in included, expanded from the
+    events _events yields: each age holds from its slot up to the next."""
+    firsts, blocks = [], []
+    for slots, ages in _events(params, policy, config, replication_index):
+        firsts.append(int(slots[0]))
+        blocks.append(np.repeat(ages, np.diff(slots)))
     assert firsts == list(range(0, config.burn_in + config.horizon, simulate._CHUNK))
-    return np.concatenate(blocks_d), np.concatenate(blocks_e)
+    return np.concatenate(blocks)
+
+
+def scalar_window_ages(params, policy, config, replication_index):
+    """The secrecy ages of a scalar sample_slot walk over the observation
+    window, driven by the replication's stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.base_seed, spawn_key=(replication_index,)))
+    state = AgeState(1, 1)
+    observed = []
+    for t in range(config.burn_in + config.horizon):
+        if t > 0:
+            state = sample_slot(state, params, policy, rng)
+        if t >= config.burn_in:
+            observed.append(secrecy_age(state))
+    return observed
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +88,10 @@ def pinned_run():
 # sha256 (first 16 hex digits) of the gap_hist dtype string and bytes of
 # run_replication(ChannelParams(p, q), Policy(p_tx), SimConfig(horizon,
 # burn_in, base_seed=77), 3), keyed (point, burn_in, horizon). The strata:
-# p, q in {0, 1} at p_tx = 1, a sparse (p_tx 0.05) and a dense (p_tx 1)
-# interior point; burn-in 0, inside the first 2**15-slot block and past it;
+# p, q in {0, 1} at p_tx = 1, a sparse (p_tx 0.05), a medium (p_tx 0.5) and
+# a dense (p_tx 1) interior point, a receiver-only-heavy one (receiver-only
+# probability 0.81) and an interior q = 0 one, whose gap grows without bound;
+# burn-in 0, inside the first 2**15-slot block and past it;
 # horizons below, equal to and not a multiple of 2**15 slots. Any rewrite of
 # the replication kernel must keep every histogram, dtype included.
 GOLDEN_POINTS = {
@@ -76,6 +101,9 @@ GOLDEN_POINTS = {
     "p1q1": (1.0, 1.0, 1.0),
     "sparse": (0.6, 0.3, 0.05),
     "dense": (0.6, 0.3, 1.0),
+    "rxheavy": (0.9, 0.1, 1.0),
+    "q0": (0.5, 0.0, 1.0),
+    "medium": (0.5, 0.5, 0.5),
 }
 GAP_HIST_DIGESTS = {
     ("p0q0", 0, 1000): "d6c7f10a5b7c9759",
@@ -120,6 +148,27 @@ GAP_HIST_DIGESTS = {
     ("dense", 500, 32768): "13b2483d5855d5d0",
     ("dense", 500, 100003): "12cc496f1ac3269f",
     ("dense", 40000, 100003): "cad7c430b9ae3db0",
+    ("rxheavy", 0, 1000): "c3b7cc1339a3e487",
+    ("rxheavy", 0, 32768): "a625ea282007ac4b",
+    ("rxheavy", 0, 100003): "3736e7459010a90f",
+    ("rxheavy", 500, 1000): "597546f9ce1e007d",
+    ("rxheavy", 500, 32768): "1ddfb8f8b8b5657b",
+    ("rxheavy", 500, 100003): "aca81b43636ab596",
+    ("rxheavy", 40000, 100003): "f1cfc6df6d681e40",
+    ("q0", 0, 1000): "046a4efd113e3117",
+    ("q0", 0, 32768): "01d56e082db9163f",
+    ("q0", 0, 100003): "aadb91b6222dc9ac",
+    ("q0", 500, 1000): "9d6982b4fe6c3c00",
+    ("q0", 500, 32768): "7c9dc33924ecb3d3",
+    ("q0", 500, 100003): "f902485bb61ee618",
+    ("q0", 40000, 100003): "1a6035e4d3c25da9",
+    ("medium", 0, 1000): "3b977ceced438fa9",
+    ("medium", 0, 32768): "01d51f0190bd0067",
+    ("medium", 0, 100003): "64cb80e47b207cba",
+    ("medium", 500, 1000): "ee7e14db4de8afd7",
+    ("medium", 500, 32768): "ec06654be51c7397",
+    ("medium", 500, 100003): "132c9b6d88e22cdc",
+    ("medium", 40000, 100003): "fe6e1f101a17f328",
 }
 
 
@@ -220,23 +269,21 @@ class TestDeterminism:
         assert not np.array_equal(a.gap_hist, b.gap_hist)
 
     def test_matches_scalar_walk_slot_by_slot(self):
-        # the vectorized walk and a scalar sample_slot walk driven by the
-        # same stream must visit identical states
+        # the events of the vectorized walk and a scalar sample_slot walk
+        # driven by the same stream must give identical secrecy ages
         params, policy, seed, rep = ChannelParams(0.6, 0.3), Policy(0.8), 1234, 2
         config = SimConfig(horizon=300, burn_in=50, base_seed=seed)
         n_states = 350
-        last_d, last_e = trajectory(params, policy, config, rep)
-        assert len(last_d) == len(last_e) == n_states
-        assert last_d[0] == last_e[0] == 0
-        ages_d = np.arange(n_states) - last_d + 1
-        ages_e = np.arange(n_states) - last_e + 1
+        ages = trajectory(params, policy, config, rep)
+        assert len(ages) == n_states
+        assert ages[0] == 0
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
         state = AgeState(1, 1)
         observed = []
         for t in range(n_states):
             if t > 0:
                 state = sample_slot(state, params, policy, rng)
-            assert (ages_d[t], ages_e[t]) == (state.delta_d, state.delta_e)
+            assert ages[t] == secrecy_age(state)
             if t >= config.burn_in:
                 observed.append(secrecy_age(state))
         # the replication's histogram is that of the scalar walk's window
@@ -254,6 +301,8 @@ class TestDeterminism:
         # q = 0: the gap grows without bound; p = 0: it never opens
         (ChannelParams(0.7, 0.0), Policy(0.5)),
         (ChannelParams(0.0, 0.4), Policy(0.5)),
+        # nearly every slot an event: counted slot by slot
+        (ChannelParams(0.9, 0.9), Policy(1.0)),
     ])
     # burn-ins ending before, on and after the edges of 7-slot blocks
     @pytest.mark.parametrize("burn_in", [0, 6, 7, 8, 13, 14, 15])
@@ -264,6 +313,36 @@ class TestDeterminism:
         got = run_replication(params, policy, config, 1).gap_hist
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+    @given(
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        q=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        p_tx=st.sampled_from([1.0]) | st.floats(1e-3, 1.0),
+        horizon=st.integers(1, 400),
+        burn_frac=st.floats(0.0, 1.0, exclude_max=True),
+        chunk=st.sampled_from([1, 7, 64]),
+    )
+    # one point on each side of the event rate above which every slot is
+    # counted, and a point where the age grows without bound
+    @example(p=0.6, q=0.3, p_tx=1.0, horizon=400, burn_frac=0.3, chunk=7)
+    @example(p=0.9, q=0.9, p_tx=1.0, horizon=400, burn_frac=0.3, chunk=7)
+    @example(p=0.5, q=0.0, p_tx=1.0, horizon=400, burn_frac=0.0, chunk=64)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_walk_histogram(self, p, q, p_tx, horizon, burn_frac, chunk):
+        params, policy = ChannelParams(p, q), Policy(p_tx)
+        config = SimConfig(horizon=horizon, burn_in=int(burn_frac * horizon), base_seed=21)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_CHUNK", chunk)
+            got = run_replication(params, policy, config, 0).gap_hist
+        expected = np.bincount(scalar_window_ages(params, policy, config, 0))
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_histogram_examples_straddle_the_event_rate(self):
+        # the explicit examples above run both reductions
+        rates = [slot_thresholds(ChannelParams(p, q), ALWAYS)[2] for p, q in ((0.6, 0.3), (0.9, 0.9))]
+        assert rates[0] < simulate._EVENT_RATE_MAX <= rates[1]
+
 
 class TestStatisticalAgreement:
     def test_mean_within_interval_of_closed_form(self, pinned_run):
@@ -279,20 +358,21 @@ class TestStatisticalAgreement:
         closed = outage_probability(P, ALWAYS, SecrecyThreshold(5), OutageConvention.STRICT_DEFINITION)
         assert abs(est.outage_estimate - closed) <= 1.6 * est.outage_halfwidth
 
-    def test_corner_state_frequency(self, pinned_run):
-        # occupancy of (1, 1) estimates p_tx * p * q = 0.16 at p_tx = 1
+    def test_event_frequencies(self, pinned_run):
+        # at p_tx = 1 a slot is an event with probability 1 - (1 - p)(1 - q)
+        # = 0.84, and an event sets the age to 0 exactly where it resets the
+        # eavesdropper, with probability q = 0.2
         config, stats = pinned_run
         total = sum(s.slots_observed for s in stats)
-        hits = 0
-        slots = np.arange(config.burn_in, config.burn_in + config.horizon)
+        events = zero_ages = 0
         for r in range(config.replications):
-            last_d, last_e = trajectory(P, ALWAYS, config, r)
-            # both ages are 1 exactly where both sides reset in this slot
-            hits += np.count_nonzero((last_d[config.burn_in :] == slots) & (last_e[config.burn_in :] == slots))
-        freq = hits / total
-        target = 1.0 * 0.8 * 0.2
-        sigma = (target * (1 - target) / total) ** 0.5
-        assert abs(freq - target) < 4.0 * sigma
+            for slots, ages in _events(P, ALWAYS, config, r):
+                observed = slots[1:-1] >= config.burn_in
+                events += np.count_nonzero(observed)
+                zero_ages += np.count_nonzero(observed & (ages[1:] == 0))
+        for hits, target in ((events, 0.84), (zero_ages, 0.2)):
+            sigma = (target * (1 - target) / total) ** 0.5
+            assert abs(hits / total - target) < 4.0 * sigma
 
     def test_empirical_gap_pmf_tracks_closed_pmf(self, pinned_run):
         _, stats = pinned_run
