@@ -14,6 +14,7 @@ from .analytics import (
     col_sum,
     closed_form_report,
     objective,
+    objective_curve,
     optimal_ptx,
     outage_probability,
     positive_gap_mass,
@@ -84,6 +85,7 @@ __all__ = [
     "estimate",
     "make_spec",
     "objective",
+    "objective_curve",
     "optimal_ptx",
     "oracle_metrics",
     "outage_probability",

@@ -158,14 +158,15 @@ def average_secrecy_age(params: ChannelParams, policy: Policy) -> float:
     return p * (1.0 - q) / (ptx * q * denom)
 
 
-def _outage_from_exponent(k: int, params: ChannelParams, policy: Policy) -> float:
-    """Pr(secrecy age <= k) = 1 - sum of the gap pmf over d > k.
+def _outage_from_exponent(k: int, params: ChannelParams, ptx: float | np.ndarray) -> float | np.ndarray:
+    """Pr(secrecy age <= k) = 1 - sum of the gap pmf over d > k, at one
+    transmit probability or elementwise over an array of them.
 
     Single code path for both conventions, so their bridge identity holds
-    bit for bit.
+    bit for bit, and for the scalar objective and its grid form.
     """
     denom = _gap_denominator(params)
-    p, q, ptx = params.p, params.q, policy.p_tx
+    p, q = params.p, params.q
     tail = p * (1.0 - q) * (1.0 - ptx * q) ** k / denom
     return 1.0 - tail
 
@@ -182,7 +183,7 @@ def outage_probability(
     eta_th). PAPER_PRINTED: tail exponent eta_th - 1, i.e. the strict event
     at threshold eta_th - 1.
     """
-    return _outage_from_exponent(outage_event(threshold, convention), params, policy)
+    return _outage_from_exponent(outage_event(threshold, convention), params, policy.p_tx)
 
 
 def outage_event(threshold: SecrecyThreshold, convention: OutageConvention) -> int:
@@ -200,6 +201,25 @@ def objective(
 ) -> float:
     """Throughput-style score p_tx * (1 - P_out) traded off by the policy."""
     return policy.p_tx * (1.0 - outage_probability(params, policy, threshold, convention))
+
+
+def objective_curve(
+    params: ChannelParams,
+    ptx: np.ndarray,
+    threshold: SecrecyThreshold,
+    convention: OutageConvention = DEFAULT_CONVENTION,
+) -> np.ndarray:
+    """The objective at each of an array of transmit probabilities in (0, 1].
+
+    Same formula as the scalar objective, evaluated in one numpy pass.
+    numpy's power may round differently from Python's, so an entry can
+    differ from the scalar value by a few 1e-16 * p_tx.
+    """
+    ptx = np.asarray(ptx, dtype=float)
+    if ptx.size and not (ptx.min() > 0.0 and ptx.max() <= 1.0):
+        raise ValueError("p_tx values must lie in (0, 1]")
+    k = outage_event(threshold, convention)
+    return ptx * (1.0 - _outage_from_exponent(k, params, ptx))
 
 
 def optimal_ptx(
@@ -228,7 +248,7 @@ def closed_form_report(params: ChannelParams, policy: Policy, event: int | None 
     if event is not None:
         if event < 0:
             raise ValueError("event index must be >= 0")
-        out_prob = _outage_from_exponent(event, params, policy)
+        out_prob = _outage_from_exponent(event, params, policy.p_tx)
     return SecrecyReport(
         provenance="closed_form",
         average_secrecy_age=average_secrecy_age(params, policy),

@@ -33,12 +33,15 @@ DEFAULT_HORIZON = 10**6
 DEFAULT_BURN_IN = 10**4
 DEFAULT_REPLICATIONS = 32
 
-# most slots (burn_in + horizon) one replication may simulate. Memory does not
-# bound it (a replication streams through fixed-size blocks); time does. On
-# a quiet 2-vCPU machine 10**8 slots take about 1 s where most slots are
-# reset events (p = q = 0.9, p_tx = 1) and 0.35 s where few are (p_tx =
-# 0.05), twice that under load. It must stay below 2**31 so the int32 slot
-# numbers of the walk cannot overflow
+# most slots (burn_in + horizon) one replication may simulate. Time bounds
+# it; memory does not, since a replication streams through fixed-size
+# blocks, except at q = 0: the eavesdropper never resets, the gap grows by
+# one per slot and the int64 gap_hist with its geometric growth takes about
+# 17 B per slot (traced 19 MB at 10**6 slots, 69 MB at 4 * 10**6), so
+# about 1.7 GB at this bound. On a quiet 2-vCPU machine 10**8 slots take
+# about 1 s where most slots are reset events (p = q = 0.9, p_tx = 1) and
+# 0.35 s where few are (p_tx = 0.05), twice that under load. It must stay
+# below 2**31 so the int32 slot numbers of the walk cannot overflow
 MAX_SLOTS = 10**8
 
 # slots per block of the streamed walk: its buffers (about 1 MB) stay in

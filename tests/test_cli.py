@@ -11,15 +11,18 @@ import json
 import logging
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aoi_secrecy import sweeps
-from aoi_secrecy.analytics import OutageConvention
+from aoi_secrecy.analytics import OutageConvention, objective, optimal_ptx
 from aoi_secrecy.cli import build_parser, main
-from aoi_secrecy.model import ChannelParams, Policy
+from aoi_secrecy.model import ChannelParams, Policy, SecrecyThreshold
 from aoi_secrecy.oracle import (
     StationarityError,
     build_truncated_chain,
@@ -37,6 +40,7 @@ from aoi_secrecy.sweeps import (
     make_spec,
     run_compare,
     run_fig2_sweep,
+    run_optimize,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -474,6 +478,44 @@ class TestOptimizeCommand:
         }
         assert strict[("0.5", "4")] == pytest.approx(1 / (0.5 * 5), abs=1e-12)
 
+    def test_grid_matches_scalar_objective_loop(self):
+        # one numpy pass per probe picks the same argmax as scoring each
+        # p_tx with the scalar objective, so every row is identical
+        spec = default_spec("optimize")
+        step = spec.optimize_step
+        grid = np.minimum(np.arange(1, int(round(1 / step)) + 1, dtype=float) * step, 1.0)
+        expected = []
+        for q, eta in product(spec.q_values, spec.eta_values):
+            thr = SecrecyThreshold(eta)
+            for conv in (OutageConvention.PAPER_PRINTED, OutageConvention.STRICT_DEFINITION):
+                star = optimal_ptx(q, thr, conv)
+                argmaxes = []
+                for p in spec.p_values:
+                    values = [objective(ChannelParams(p, q), Policy(float(x)), thr, conv) for x in grid]
+                    argmaxes.append(float(grid[int(np.argmax(values))]))
+                best = argmaxes[0]
+                expected.append([q, eta, conv.value, star, best, abs(best - star), int(len(set(argmaxes)) == 1)])
+        assert len(expected) * len(spec.p_values) == 64
+        assert run_optimize(spec).rows == expected
+
+    def test_finest_step_memory_is_a_few_grids(self):
+        # each probe is scored on its own, so the traced peak is a few
+        # grid-sized arrays (measured 30.5 MB against an 8 MB grid); scoring
+        # the two p probes as one 2-D array measured 56 MB
+        spec = replace(
+            default_spec("optimize"), optimize_step=sweeps.MIN_OPTIMIZE_STEP,
+            q_values=(0.2,), eta_values=(5,), p_values=(0.3, 0.8),
+        )
+        grid_bytes = 8 * int(round(1 / sweeps.MIN_OPTIMIZE_STEP))
+        tracemalloc.start()
+        try:
+            result = run_optimize(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert peak <= 5 * grid_bytes, peak
+
 
 class TestErrorPaths:
     def test_missing_config_file(self, capsys):
@@ -602,7 +644,7 @@ class TestErrorPaths:
 
     def test_optimize_refuses_p_zero_before_any_work(self, monkeypatch, capsys):
         # at p = 0 every p_tx scores 0, so the p probe would report a false FAIL
-        monkeypatch.setattr(sweeps, "objective", lambda *a: pytest.fail("the objective ran"))
+        monkeypatch.setattr(sweeps, "objective_curve", lambda *a: pytest.fail("the objective ran"))
         assert main(["optimize", "--p", "0.5,0", "--q", "0.2"]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
