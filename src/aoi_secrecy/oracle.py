@@ -97,30 +97,6 @@ class TruncatedChain:
         out[0, 0] = self.p_both * row.sum()
         return out
 
-    def to_sparse(self):
-        """CSR matrix of the same operator, built state by state from
-        transition_distribution. Quadratic in N; meant for cross-checks."""
-        from scipy.sparse import csr_matrix
-
-        n = self.truncation
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                src = (i - 1) * n + (j - 1)
-                acc: dict[int, float] = {}
-                for succ, prob in transition_distribution(AgeState(i, j), self.params, self.policy):
-                    di = min(succ.delta_d, n)  # saturating clamp
-                    dj = min(succ.delta_e, n)
-                    dst = (di - 1) * n + (dj - 1)
-                    acc[dst] = acc.get(dst, 0.0) + prob
-                for dst, prob in acc.items():
-                    rows.append(src)
-                    cols.append(dst)
-                    vals.append(prob)
-        return csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
-
 
 def build_truncated_chain(params: ChannelParams, policy: Policy, truncation: int) -> TruncatedChain:
     """Assemble the clamped chain from the one-slot law."""

@@ -4,14 +4,12 @@ Each replication walks the exact one-slot law from state (1, 1) using one
 uniform draw per slot (the same thresholds sample_slot uses, so a scalar
 walk with the same stream has the same secrecy ages), streamed in blocks
 of _CHUNK slots, and reduces the observation window to a gap histogram.
-The secrecy age changes only at reset events, so where events are not
-most slots a block is reduced over its events alone, with the age each
-sets held for the run to the next; where nearly every slot is an event, it
-is reduced over every slot from the last reset on each side. A
-replication's memory is about 1.1-1.4 MB whatever its horizon, besides the
-histogram (one entry per gap up to the largest seen). Replications are
-aggregated into normal-approximation confidence intervals across
-replication means.
+The secrecy age changes only at reset events, so each block is reduced
+over its events alone, with the age each sets held for the run to the
+next. A replication's memory is about 1.1-1.6 MB whatever its horizon (the
+more, the more of its slots are events), besides the histogram (one entry
+per gap up to the largest seen). Replications are aggregated into
+normal-approximation confidence intervals across replication means.
 
 Seeding is stateless: replication r of base seed s draws from
 SeedSequence(entropy=s, spawn_key=(r,)), so any execution order or degree
@@ -39,21 +37,15 @@ DEFAULT_REPLICATIONS = 32
 # one per slot and the int64 gap_hist with its geometric growth takes about
 # 17 B per slot (traced 19 MB at 10**6 slots, 69 MB at 4 * 10**6), so
 # about 1.7 GB at this bound. On a quiet 2-vCPU machine 10**8 slots take
-# about 1 s where most slots are reset events (p = q = 0.9, p_tx = 1) and
+# about 1.2 s where most slots are reset events (p = q = 0.9, p_tx = 1) and
 # 0.35 s where few are (p_tx = 0.05), twice that under load. It must stay
 # below 2**31 so the int32 slot numbers of the walk cannot overflow
 MAX_SLOTS = 10**8
 
-# slots per block of the streamed walk: its buffers (about 1 MB) stay in
-# cache, and one replication's memory does not grow with its horizon
+# slots per block of the streamed walk: its buffers and event arrays (about
+# 1.1 MB, 1.6 MB where every slot is an event) stay in cache, and one
+# replication's memory does not grow with its horizon
 _CHUNK = 1 << 15
-
-# run_replication counts a block over its events (u < c3) when the event
-# probability c3 is below this, and over every slot otherwise. Measured per
-# 10**6 slots against the per-slot scans (2 vCPU, numpy 2.4.6, a loaded
-# machine), the events win by 7-20% at c3 = 0.7-0.75 and by more below,
-# and lose by 3-12% at c3 = 0.8-0.88 and up to 18% at c3 = 0.99
-_EVENT_RATE_MAX = 0.8
 
 _Z95 = 1.959963984540054
 
@@ -204,70 +196,15 @@ def _event_counts(
         yield low, np.bincount(np.subtract(ages, low, out=shift_buf[: len(ages)]), weights=runs)
 
 
-def _slot_counts(
-    params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The same gap counts as _event_counts, from every slot's last reset on
-    each side (two running maxes over every slot), where nearly every slot
-    is an event and picking the events out costs more than it saves.
-
-    last_d[i] and last_e[i] are the slots of the most recent reset on each
-    side at or before slot first + i, the start state (1, 1) acting as a
-    reset of both at slot 0, so the secrecy age is max(last_d - last_e, 0).
-    The stream, blocks and thresholds are those of _events.
-    """
-    n_slots = config.burn_in + config.horizon
-    seq = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(replication_index,))
-    rng = np.random.default_rng(seq)
-    c1, c2, c3 = slot_thresholds(params, policy)
-    size = min(_CHUNK, n_slots)
-    u = np.zeros(size)
-    last_d, last_e, gap = np.zeros((3, size), dtype=np.int32)
-    for first in range(0, n_slots, size):
-        m = min(size, n_slots - first)
-        # slot 0 draws nothing: as slot number 0 its last-reset slots are 0
-        # whatever u[0] holds
-        rng.random(out=u[int(first == 0) : m])
-        block = u[:m]
-        d_reset = (block < c1) | ((block >= c2) & (block < c3))
-        e_reset = block < c2
-        slots = np.arange(first, first + m, dtype=np.int32)
-        # slot t where that side resets, else 0; the running max is the last
-        # reset, carried in through element 0 from the previous (full) block,
-        # or 0 before the first
-        for last, reset in ((last_d, d_reset), (last_e, e_reset)):
-            carried = last[-1]
-            np.multiply(slots, reset, out=last[:m])
-            last[0] = max(last[0], carried)
-            np.maximum.accumulate(last[:m], out=last[:m])
-        skip = max(config.burn_in - first, 0)
-        if skip >= m:
-            continue
-        d, e = last_d[skip:m], last_e[skip:m]
-        # every gap in the block is at least d[0] - e[-1], since last-reset
-        # slots never decrease; counting from there keeps the counts
-        # block-sized where the gap grows without bound (q = 0)
-        low = max(int(d[0]) - int(e[-1]), 0)
-        # the gap max(d - e, 0) is d - min(d, e)
-        g = np.minimum(d, e, out=gap[: len(d)])
-        np.subtract(d, g, out=g)
-        np.subtract(g, low, out=g)
-        yield low, np.bincount(g)
-
-
 def run_replication(
     params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
 ) -> ReplicationStats:
     """Simulate one replication and reduce its observation window to a gap
-    histogram, block by block, so memory does not grow with the horizon.
-    The counts come from the events where the event probability c3 is
-    below _EVENT_RATE_MAX, and from every slot otherwise; both give the
-    same histogram."""
-    _, _, c3 = slot_thresholds(params, policy)
-    block_counts = _event_counts if c3 < _EVENT_RATE_MAX else _slot_counts
+    histogram, block by block from the counts of _event_counts, so memory
+    does not grow with the horizon (except through the histogram itself)."""
     hist = np.zeros(1, dtype=np.int64)
     top = 1  # the largest gap + 1; hist beyond it is spare capacity
-    for low, counts in block_counts(params, policy, config, replication_index):
+    for low, counts in _event_counts(params, policy, config, replication_index):
         high = low + len(counts)
         if high > len(hist):  # grow geometrically: q = 0 raises the top gap every block
             hist = np.concatenate([hist, np.zeros(max(high, 2 * len(hist)) - len(hist), dtype=np.int64)])

@@ -3,10 +3,10 @@
 The oracle builds its transitions from model.transition_distribution alone,
 so comparisons against the closed forms in analytics.py are genuine
 cross-route checks. Two operator implementations exist on purpose (the
-structured apply() and the per-state sparse matrix); they are compared here
-and must stay independent. The direct stationary solve is checked against
-two references kept here: power iteration of apply() and a sparse linear
-solve of to_sparse().
+structured apply() and the per-state sparse matrix of to_sparse() below);
+they are compared here and must stay independent. The direct stationary
+solve is checked against two references kept here: power iteration of
+apply() and a sparse linear solve of to_sparse().
 """
 
 import ast
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies
-from scipy.sparse import identity
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 
 import aoi_secrecy
@@ -97,11 +97,34 @@ def power_iteration(chain, tol=1e-12, max_iters=None):
     raise NoConvergence(residual, budget, tol)
 
 
+def to_sparse(chain):
+    """CSR matrix of the chain's operator, built state by state from
+    transition_distribution. Quadratic in N; meant for cross-checks."""
+    n = chain.truncation
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            src = (i - 1) * n + (j - 1)
+            acc: dict[int, float] = {}
+            for succ, prob in transition_distribution(AgeState(i, j), chain.params, chain.policy):
+                di = min(succ.delta_d, n)  # saturating clamp
+                dj = min(succ.delta_e, n)
+                dst = (di - 1) * n + (dj - 1)
+                acc[dst] = acc.get(dst, 0.0) + prob
+            for dst, prob in acc.items():
+                rows.append(src)
+                cols.append(dst)
+                vals.append(prob)
+    return csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
+
+
 def sparse_law(chain):
     """Reference solve: the stationary law of to_sparse() by a sparse linear
     solve, the normalisation replacing one (redundant) balance equation."""
     n = chain.truncation
-    system = (chain.to_sparse().T - identity(n * n)).tolil()
+    system = (to_sparse(chain).T - identity(n * n)).tolil()
     system[0, :] = 1.0
     rhs = np.zeros(n * n)
     rhs[0] = 1.0
@@ -151,12 +174,12 @@ class TestOperator:
     def test_sparse_rows_are_stochastic(self):
         for p, q, ptx in PARAM_DRAWS:
             chain = build_truncated_chain(ChannelParams(p, q), Policy(ptx), 12)
-            sums = np.asarray(chain.to_sparse().sum(axis=1)).ravel()
+            sums = np.asarray(to_sparse(chain).sum(axis=1)).ravel()
             assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_sparse_collapses_under_certain_delivery(self):
         chain = build_truncated_chain(ChannelParams(1.0, 1.0), Policy(1.0), 2)
-        dense = chain.to_sparse().toarray()
+        dense = to_sparse(chain).toarray()
         expected = np.zeros((4, 4))
         expected[:, 0] = 1.0  # every state jumps to (1, 1)
         assert np.array_equal(dense, expected)
@@ -167,7 +190,7 @@ class TestOperator:
             chain = build_truncated_chain(ChannelParams(p, q), Policy(ptx), n)
             dist = random_dist(n, seed=100 + k)
             via_apply = chain.apply(dist)
-            flat = chain.to_sparse().T.dot(dist.reshape(-1))
+            flat = to_sparse(chain).T.dot(dist.reshape(-1))
             assert np.max(np.abs(via_apply - flat.reshape(n, n))) < 1e-14
 
     def test_apply_conserves_mass(self):

@@ -30,7 +30,6 @@ from aoi_secrecy.model import (
     SecrecyThreshold,
     sample_slot,
     secrecy_age,
-    slot_thresholds,
 )
 from aoi_secrecy.simulate import (
     MAX_SLOTS,
@@ -201,8 +200,9 @@ class TestSimConfig:
             SimConfig(base_seed=2**64)
 
     def test_slot_bound(self):
-        # a time bound: memory is flat in the horizon, and the walk's int32
-        # slot indices need fewer than 2**31 slots
+        # a time bound: memory is flat in the horizon except at q = 0, where
+        # the gap histogram grows by about 17 B per slot, and the walk's
+        # int32 slot indices need fewer than 2**31 slots
         assert MAX_SLOTS < 2**31
         SimConfig(horizon=MAX_SLOTS - 10, burn_in=10)
         with pytest.raises(ValueError, match=f"= {MAX_SLOTS + 1} slots exceeds the per-replication bound {MAX_SLOTS}"):
@@ -212,17 +212,20 @@ class TestSimConfig:
 
     def test_replication_memory_flat_in_horizon(self):
         # a replication streams through fixed-size blocks: its traced peak
-        # (about 1.1 MB) does not grow with the horizon
-        for horizon in (10**5, 10**6):
-            config = SimConfig(horizon=horizon, burn_in=10**3, base_seed=4)
-            run_replication(P, HALF, config, 0)
-            tracemalloc.start()
-            try:
-                run_replication(P, HALF, config, 0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2 * 2**20, horizon
+        # (about 1.3 MB at (0.8, 0.2, 0.5), 1.6 MB at (0.9, 0.9, 1.0), where
+        # nearly every slot is an event and a block's event arrays are
+        # full-sized) does not grow with the horizon
+        for params, policy in ((P, HALF), (ChannelParams(0.9, 0.9), ALWAYS)):
+            for horizon in (10**5, 10**6):
+                config = SimConfig(horizon=horizon, burn_in=10**3, base_seed=4)
+                run_replication(params, policy, config, 0)
+                tracemalloc.start()
+                try:
+                    run_replication(params, policy, config, 0)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 2 * 2**20, (params, policy, horizon)
 
 
 class TestDegenerateChains:
@@ -301,7 +304,7 @@ class TestDeterminism:
         # q = 0: the gap grows without bound; p = 0: it never opens
         (ChannelParams(0.7, 0.0), Policy(0.5)),
         (ChannelParams(0.0, 0.4), Policy(0.5)),
-        # nearly every slot an event: counted slot by slot
+        # nearly every slot an event (c3 = 0.99): most runs are one slot
         (ChannelParams(0.9, 0.9), Policy(1.0)),
     ])
     # burn-ins ending before, on and after the edges of 7-slot blocks
@@ -322,8 +325,8 @@ class TestDeterminism:
         burn_frac=st.floats(0.0, 1.0, exclude_max=True),
         chunk=st.sampled_from([1, 7, 64]),
     )
-    # one point on each side of the event rate above which every slot is
-    # counted, and a point where the age grows without bound
+    # event probabilities c3 = 0.72 and 0.99 (nearly every slot an event),
+    # and a point where the age grows without bound
     @example(p=0.6, q=0.3, p_tx=1.0, horizon=400, burn_frac=0.3, chunk=7)
     @example(p=0.9, q=0.9, p_tx=1.0, horizon=400, burn_frac=0.3, chunk=7)
     @example(p=0.5, q=0.0, p_tx=1.0, horizon=400, burn_frac=0.0, chunk=64)
@@ -337,11 +340,6 @@ class TestDeterminism:
         expected = np.bincount(scalar_window_ages(params, policy, config, 0))
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
-
-    def test_histogram_examples_straddle_the_event_rate(self):
-        # the explicit examples above run both reductions
-        rates = [slot_thresholds(ChannelParams(p, q), ALWAYS)[2] for p, q in ((0.6, 0.3), (0.9, 0.9))]
-        assert rates[0] < simulate._EVENT_RATE_MAX <= rates[1]
 
 
 class TestStatisticalAgreement:
