@@ -74,7 +74,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if result.summary:
         print(result.summary)
     return result.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

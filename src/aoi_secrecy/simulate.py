@@ -170,16 +170,19 @@ def _events(
         yield s, a
 
 
-def _event_counts(
+def run_replication(
     params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Each block's gap counts over the window, (low, counts) with counts[i]
-    the observed slots of gap low + i, from the events of _events: the age
-    an event sets holds for the run of slots up to the next event, so one
-    bincount of the ages weighted by their runs (clipped to the window)
-    counts the block."""
+) -> ReplicationStats:
+    """Simulate one replication and reduce its observation window to a gap
+    histogram, block by block over the events of _events: the age an event
+    sets holds for the run of slots up to the next event, so one bincount of
+    the ages weighted by their runs (clipped to the window) counts a block,
+    and memory does not grow with the horizon (except through the histogram
+    itself)."""
     size = min(_CHUNK, config.burn_in + config.horizon) + 1
     run_buf, shift_buf = np.empty(size), np.empty(size, dtype=np.intp)
+    hist = np.zeros(1, dtype=np.int64)
+    top = 1  # the largest gap + 1; hist beyond it is spare capacity
     for slots, ages in _events(params, policy, config, replication_index):
         lo = max(config.burn_in, int(slots[0]))  # the block's first observed slot
         if lo >= slots[-1]:
@@ -193,18 +196,7 @@ def _event_counts(
         # counting from the smallest age keeps the counts block-sized where
         # the gap grows without bound (q = 0)
         low = int(ages.min())
-        yield low, np.bincount(np.subtract(ages, low, out=shift_buf[: len(ages)]), weights=runs)
-
-
-def run_replication(
-    params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
-) -> ReplicationStats:
-    """Simulate one replication and reduce its observation window to a gap
-    histogram, block by block from the counts of _event_counts, so memory
-    does not grow with the horizon (except through the histogram itself)."""
-    hist = np.zeros(1, dtype=np.int64)
-    top = 1  # the largest gap + 1; hist beyond it is spare capacity
-    for low, counts in _event_counts(params, policy, config, replication_index):
+        counts = np.bincount(np.subtract(ages, low, out=shift_buf[: len(ages)]), weights=runs)
         high = low + len(counts)
         if high > len(hist):  # grow geometrically: q = 0 raises the top gap every block
             hist = np.concatenate([hist, np.zeros(max(high, 2 * len(hist)) - len(hist), dtype=np.int64)])

@@ -152,13 +152,12 @@ class SweepSpec:
         # compare judges Monte Carlo by its half-widths, which need two replications
         if self.experiment == "compare" and "monte_carlo" in self.methods and self.replications < 2:
             raise ValueError(f"compare with monte_carlo needs replications >= 2, got {self.replications}")
-        for name, values, low, high in (
-            ("p", self.p_values, 0.0, 1.0),
-            ("q", self.q_values, 0.0, 1.0),
-            ("ptx", self.ptx_values, 1e-12, 1.0),
-        ):
+        # a rate is at least 1e-12 (p and q may also be 0): below that the
+        # closed forms' products such as p_tx * q * (p + q - pq) underflow to 0
+        grids = (("p", self.p_values, True), ("q", self.q_values, True), ("ptx", self.ptx_values, False))
+        for name, values, zero in grids:
             for v in values:
-                if not low <= v <= high:
+                if not (1e-12 <= v <= 1.0 or (zero and v == 0.0)):
                     raise ValueError(f"{name} grid value {v} out of range")
         if not all(r > 0 for r in self.ratio_values):
             raise ValueError("ratio grid values must be positive")
@@ -195,52 +194,35 @@ def default_spec(experiment: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # settings: one table feeds the config file and the command-line flags
 
-def _items(raw: Any) -> list[Any]:
-    """A list setting: a comma-separated string (INI, flags) or a JSON list."""
-    if isinstance(raw, str):
-        return [s for s in (t.strip() for t in raw.split(",")) if s]
-    if isinstance(raw, list):
-        return raw
-    raise ValueError(f"expected a list or a comma-separated string, got {raw!r}")
+def _items(raw: str) -> list[str]:
+    """A list setting: comma-separated entries, blanks dropped."""
+    return [s for s in (t.strip() for t in raw.split(",")) if s]
 
 
-def _int(raw: Any) -> int:
-    """Strings may carry a base prefix (0x10); booleans and non-integral
-    numbers are rejected rather than truncated."""
-    if isinstance(raw, str):
-        try:
-            return int(raw, 0)
-        except ValueError:
-            raise ValueError(f"expected an integer, got {raw!r}") from None
-    if isinstance(raw, float) and raw.is_integer():
-        return int(raw)
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    raise ValueError(f"expected an integer, got {raw!r}")
+def _int(raw: str) -> int:
+    """A base prefix (0x10) is read; a leading zero (010) or a fraction is
+    refused rather than guessed at or truncated."""
+    try:
+        return int(raw, 0)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _float(raw: Any) -> float:
-    """Booleans are rejected rather than read as 0 or 1."""
-    if isinstance(raw, bool):
-        raise ValueError(f"expected a number, got {raw!r}")
-    return float(raw)
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in _items(raw))
 
 
-def _floats(raw: Any) -> tuple[float, ...]:
-    return tuple(_float(v) for v in _items(raw))
-
-
-def _ints(raw: Any) -> tuple[int, ...]:
+def _ints(raw: str) -> tuple[int, ...]:
     return tuple(_int(v) for v in _items(raw))
 
 
-def _strs(raw: Any) -> tuple[str, ...]:
-    return tuple(str(v) for v in _items(raw))
+def _strs(raw: str) -> tuple[str, ...]:
+    return tuple(_items(raw))
 
 
-def _convention(raw: Any) -> OutageConvention:
+def _convention(raw: str) -> OutageConvention:
     try:
-        return OutageConvention(str(raw))
+        return OutageConvention(raw)
     except ValueError:
         raise ValueError(f"expected 'strict' or 'paper', got {raw!r}") from None
 
@@ -248,14 +230,14 @@ def _convention(raw: Any) -> OutageConvention:
 @dataclass(frozen=True)
 class Setting:
     """One SweepSpec field, set by `key` in config section `section` or by
-    `flag`; both go through `parse`. Only the `experiments` that read the
-    field offer the flag or accept a non-default value."""
+    `flag`; both give `parse` the entry's text. Only the `experiments` that
+    read the field offer the flag or accept a non-default value."""
 
     field: str
     section: str
     key: str
     flag: str
-    parse: Callable[[Any], Any]
+    parse: Callable[[str], Any]
     experiments: tuple[str, ...]
     help: str
 
@@ -283,25 +265,41 @@ SETTINGS: tuple[Setting, ...] = (
             "Monte Carlo replications per point"),
     Setting("workers", "sim", "workers", "--workers", _int, _WITH_LEGS,
             "thread pool size for parameter points"),
-    Setting("optimize_step", "tolerances", "optimize_step", "--step", _float, ("optimize",),
+    Setting("optimize_step", "tolerances", "optimize_step", "--step", float, ("optimize",),
             "optimize grid-search step"),
 )
 _BY_CONFIG_KEY = {(s.section, s.key): s for s in SETTINGS}
 
 
+def _json_text(section: str, key: str, value: Any) -> str:
+    """A JSON entry as the text of its INI line. The decoder keeps numbers
+    as their JSON text; a list becomes its entries joined by ", "."""
+    entries = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, str) for v in entries):
+        raise ValueError(f"config entry [{section}] {key}: expected text, a number or a list of them, got {value!r}")
+    return ", ".join(entries)
+
+
 def load_config(path: str) -> dict[str, Any]:
     """Read key = value sections (or the JSON equivalent) into SweepSpec
-    field overrides. Unknown keys and malformed values are rejected with
+    field overrides. Both syntaxes give each entry as literal text (no %
+    interpolation, keys case-sensitive), read by its setting's parser as
+    its flag is. Unknown keys and malformed values are rejected with
     ValueError so typos cannot pass silently."""
     with open(path) as handle:
         text = handle.read()
-    sections: dict[str, dict[str, Any]]
+    sections: dict[str, dict[str, str]]
     if path.endswith(".json") or text.lstrip().startswith("{"):
-        sections = json.loads(text)
+        sections = json.loads(text, parse_int=str, parse_float=str, parse_constant=str)
         if not isinstance(sections, dict):
             raise ValueError("config JSON must be an object of sections")
+        for section, body in sections.items():
+            if not isinstance(body, dict):
+                raise ValueError(f"config section {section!r} must hold key/value pairs")
+            sections[section] = {key: _json_text(section, key, value) for key, value in body.items()}
     else:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str  # keys match exactly, as flags and JSON keys do
         try:
             parser.read_string(text)
         except configparser.Error as err:
@@ -309,18 +307,16 @@ def load_config(path: str) -> dict[str, Any]:
         sections = {name: dict(parser[name]) for name in parser.sections()}
     overrides: dict[str, Any] = {}
     for section, body in sections.items():
-        if not isinstance(body, dict):
-            raise ValueError(f"config section {section!r} must hold key/value pairs")
         for key, raw in body.items():
             if (section, key) == ("experiment", "kind"):
-                overrides["experiment"] = str(raw)
+                overrides["experiment"] = raw
                 continue
             setting = _BY_CONFIG_KEY.get((section, key))
             if setting is None:
                 raise ValueError(f"unknown config entry [{section}] {key}")
             try:
                 overrides[setting.field] = setting.parse(raw)
-            except (TypeError, ValueError) as err:
+            except ValueError as err:
                 raise ValueError(f"config entry [{section}] {key}: {err}") from None
     return overrides
 

@@ -6,7 +6,9 @@ determinism of outputs.
 """
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import logging
 import subprocess
@@ -18,9 +20,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from aoi_secrecy import sweeps
-from aoi_secrecy.analytics import OutageConvention, objective, optimal_ptx
+from aoi_secrecy.analytics import (
+    OutageConvention,
+    closed_form_report,
+    objective,
+    objective_curve,
+    optimal_ptx,
+)
 from aoi_secrecy.cli import build_parser, main
 from aoi_secrecy.model import ChannelParams, Policy, SecrecyThreshold
 from aoi_secrecy.oracle import (
@@ -104,6 +114,37 @@ class TestConfigLoading:
         assert overrides["convention"] is OutageConvention.STRICT_DEFINITION
         assert overrides["ptx_values"] == (0.25, 0.5)
         assert overrides["p_values"] == (0.7,)
+
+    @pytest.mark.parametrize("json_text, ini_text, expected", [
+        # a JSON number is read as its text, like the INI line that spells it
+        ('{"grid": {"q": 0.2}}', "[grid]\nq = 0.2\n", {"q_values": (0.2,)}),
+        # a JSON list is read as its entries joined by commas
+        ('{"grid": {"q": [0.2, "0.5"], "eta": [5]}}', "[grid]\nq = 0.2, 0.5\neta = 5\n",
+         {"q_values": (0.2, 0.5), "eta_values": (5,)}),
+        # % is literal text in both syntaxes, never an interpolation
+        ('{"experiment": {"out": "a%b.csv"}}', "[experiment]\nout = a%b.csv\n", {"out_path": "a%b.csv"}),
+        ('{"experiment": {"seed": 9, "out": "run_%(seed)s.csv"}}',
+         "[experiment]\nseed = 9\nout = run_%(seed)s.csv\n", {"seed": 9, "out_path": "run_%(seed)s.csv"}),
+    ], ids=["scalar_grid", "list_grid", "percent", "percent_name"])
+    def test_json_spells_the_ini_entries(self, tmp_path, json_text, ini_text, expected):
+        (tmp_path / "run.json").write_text(json_text)
+        (tmp_path / "run.ini").write_text(ini_text)
+        assert load_config(str(tmp_path / "run.json")) == load_config(str(tmp_path / "run.ini")) == expected
+
+    @pytest.mark.parametrize("json_text, ini_text, message", [
+        # keys match exactly, as flags do
+        ('{"sim": {"Horizon": 5000}}', "[sim]\nHorizon = 5000\n", "unknown config entry [sim] Horizon"),
+        # an integer setting takes integer text, whichever syntax spells it
+        ('{"sim": {"horizon": 20000.0}}', "[sim]\nhorizon = 20000.0\n",
+         "config entry [sim] horizon: expected an integer, got '20000.0'"),
+    ], ids=["key_case", "integral_float"])
+    def test_refused_in_both_syntaxes(self, tmp_path, json_text, ini_text, message):
+        for name, text in (("run.json", json_text), ("run.ini", ini_text)):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                load_config(str(path))
+            assert message in str(err.value)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -530,6 +571,15 @@ class TestErrorPaths:
         assert code == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--p", "--q", "--ptx"])
+    def test_rate_below_floor_refused(self, no_leg_runs, capsys, flag):
+        # a nonzero rate below 1e-12 underflows the closed forms: q = 1e-186
+        # made fig1's mean divide by 0.0 and end in a traceback
+        argv = ["fig2", "--p", "0.8", "--q", "0.2", "--ptx", "0.5", "--eta", "5", flag, "1e-186"]
+        assert main(argv) == 2
+        assert f"{flag[2:]} grid value 1e-186 out of range" in capsys.readouterr().err
+        assert main(["fig1", "--q", "1e-186"]) == 2
+
     def test_single_method_compare(self, capsys):
         code = main(["compare", "--methods", "closed_form"])
         assert code == 2
@@ -556,13 +606,15 @@ class TestErrorPaths:
         assert "_int" not in err
 
     @pytest.mark.parametrize("name, text", [
-        ("scalar_grid.json", '{"grid": {"q": 0.2}}'),
         ("no_section.ini", "q = 0.2\n"),
         ("fractional_int.json", '{"sim": {"horizon": 20000.9}}'),
+        ("integral_float.json", '{"sim": {"horizon": 20000.0}}'),
         ("boolean_int.json", '{"sim": {"horizon": true}}'),
         ("null_value.json", '{"sim": {"horizon": null}}'),
         ("boolean_float.json", '{"tolerances": {"optimize_step": true}}'),
         ("boolean_grid.json", '{"grid": {"q": [true]}}'),
+        ("nested_list.json", '{"grid": {"q": [[0.2]]}}'),
+        ("object_value.json", '{"grid": {"q": {"a": 0.2}}}'),
     ])
     def test_malformed_config(self, tmp_path, capsys, name, text):
         path = tmp_path / name
@@ -682,6 +734,124 @@ class TestErrorPaths:
         path.write_text(INI_TEXT)  # kind = compare
         assert main(["fig1", "--config", str(path)]) == 2
         assert "'compare'" in capsys.readouterr().err
+
+
+# what a generated run sets a setting to: valid text, edge values or junk
+EDGE_TEXT = ("0", "1", "1e-12", "nan", "inf", "-1", str(2**70), "", "0x10", "010")
+JUNK_TEXT = ("abc", "%", "1,,2")
+VALID_TEXT = {
+    "methods": st.sampled_from(METHODS),
+    "convention": st.sampled_from(["strict", "paper"]),
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "p_values": st.floats(0.0, 1.0).map(repr),
+    "q_values": st.floats(0.0, 1.0).map(repr),
+    "ptx_values": st.floats(1e-12, 1.0).map(repr),
+    "ratio_values": st.floats(0.1, 8.0).map(repr),
+    "eta_values": st.integers(1, 20).map(str),
+    "horizon": st.integers(1, 10**6).map(str),
+    "burn_in": st.integers(0, 10**4).map(str),
+    "replications": st.integers(1, 64).map(str),
+    "workers": st.integers(1, 4).map(str),
+    "optimize_step": st.floats(1e-3, 0.5).map(repr),
+}
+
+
+def _entry(field):
+    other = EDGE_TEXT + JUNK_TEXT
+    if field == "workers":  # at most 4 pool threads: no 0x10 or 2**70 workers
+        other = tuple(t for t in other if t not in ("0x10", str(2**70)))
+    return st.one_of(VALID_TEXT[field], st.sampled_from(other))
+
+
+@st.composite
+def _runs(draw):
+    """A subcommand and, for some of the settings it offers (never --out),
+    a list of entry texts, each setting delivered by its flag or by the
+    config file, which is INI or JSON."""
+    kind = draw(st.sampled_from(EXPERIMENTS))
+    offered = [s for s in SETTINGS if kind in s.experiments and s.field != "out_path"]
+    chosen = draw(st.lists(st.sampled_from(offered), unique_by=lambda s: s.field))
+    values = []
+    for setting in chosen:
+        is_list = setting.section == "grid" or setting.field == "methods"
+        entries = draw(st.lists(_entry(setting.field), min_size=1, max_size=3 if is_list else 1))
+        values.append((setting, entries, is_list, draw(st.sampled_from(["flag", "config"]))))
+    return kind, draw(st.sampled_from(["ini", "json"])), values
+
+
+def _json_value(entry):
+    """An entry that is a JSON number is written as one, anything else as a string."""
+    try:
+        value = json.loads(entry)
+    except ValueError:
+        return entry
+    return value if isinstance(value, (int, float)) else entry
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_runs())
+# a % in an INI file is read as text, not as the start of an interpolation
+@example(run=("fig2", "ini", [(next(s for s in SETTINGS if s.field == "q_values"), ["%"], True, "config")]))
+def test_generated_input_refused_before_any_work(tmp_path, monkeypatch, run):
+    # exit 2 means nothing ran and one error line says why; a run that goes
+    # ahead evaluates only points where some side resets, within the
+    # oracle's cap. The legs record their points and return the closed form
+    calls = []
+
+    def leg(spec, index, params, policy, event, truncation):
+        calls.append((params.p, params.q, truncation))
+        report = closed_form_report(params, policy, event)
+        return replace(report, mean_halfwidth=0.0, outage_halfwidth=0.0, truncation=truncation)
+
+    def curve(params, *args):
+        calls.append((params.p, params.q, None))
+        return objective_curve(params, *args)
+
+    for method in METHODS:
+        monkeypatch.setitem(sweeps._LEGS, method, leg)
+    monkeypatch.setattr(sweeps, "objective_curve", curve)
+
+    kind, syntax, values = run
+    argv = [kind, "--out", str(tmp_path / "out.csv")]
+    config = {}
+    for setting, entries, is_list, delivery in values:
+        if delivery == "flag":
+            argv.append(f"{setting.flag}={', '.join(entries)}")
+        else:
+            config.setdefault(setting.section, {})[setting.key] = (entries, is_list)
+    if config:
+        path = tmp_path / f"run.{syntax}"
+        if syntax == "ini":
+            path.write_text("".join(
+                f"[{section}]\n" + "".join(f"{key} = {', '.join(e)}\n" for key, (e, _) in body.items())
+                for section, body in config.items()
+            ))
+        else:
+            path.write_text(json.dumps({
+                section: {
+                    key: [_json_value(v) for v in e] if is_list else _json_value(e[0])
+                    for key, (e, is_list) in body.items()
+                }
+                for section, body in config.items()
+            }))
+        argv += ["--config", str(path)]
+
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code == 2:
+        assert calls == []
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    else:
+        assert code in (0, 1), (code, err)
+        for p, q, truncation in calls:
+            assert p + q > 0.0
+            assert truncation is None or truncation <= sweeps.MAX_TRUNCATION
 
 
 class TestDeterminism:
