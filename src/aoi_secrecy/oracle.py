@@ -11,6 +11,9 @@ to every reported metric as rigorous error bounds.
 steady_state solves the clamped law directly in O(N^2) from the chain's
 four one-slot outcome masses, then checks it with one application of the
 operator: the L1 residual is reported, and one above tol raises.
+gap_pmf_array reads the gap law off the solved law's superdiagonals in one
+masked reduce over a strided view, each diagonal summed in the order
+numpy's trace uses.
 
 Transition entries come from model.transition_distribution; none of the
 closed forms in analytics.py are consulted here, so agreement between the
@@ -178,8 +181,8 @@ def steady_state(chain: TruncatedChain, tol: float = 1e-12) -> SteadyState:
     pi[n - 1, 0] = chain.p_only_e * (row[n - 2] + row[n - 1])
     pi[0, 1:] = chain.p_only_d * col[:-1]
     pi[0, n - 1] = chain.p_only_d * (col[n - 2] + col[n - 1])
-    for i in range(1, n - 1):
-        np.multiply(pi[i - 1, : n - 2], stay, out=pi[i, 1 : n - 1])
+    for src, dst in zip(pi[: n - 2, : n - 2], pi[1 : n - 1, 1 : n - 1]):
+        np.multiply(src, stay, out=dst)
     pi[n - 1, : n - 1] = _fold(pi[n - 1, 0], pi[n - 2, : n - 2], stay)
     pi[: n - 1, n - 1] = _fold(pi[0, n - 1], pi[: n - 2, n - 2], stay)
     escape = chain.p_both + chain.p_only_e + chain.p_only_d
@@ -232,13 +235,20 @@ def truncation_for_mean_tol(params: ChannelParams, policy: Policy, tol: float) -
 
 
 def gap_pmf_array(state: SteadyState) -> np.ndarray:
-    """pmf[d] = converged Pr(gap = d) for d = 0..N-1; pmf[0] is all of gap <= 0."""
+    """pmf[d] = converged Pr(gap = d) for d = 0..N-1; pmf[0] is all of gap <= 0.
+
+    Row d-1 of `diagonals` (a view, no copy) starts at pi[0, d] and steps
+    N+1 entries, so its first N-d entries are the superdiagonal d, read
+    with the stride and in the order that numpy's trace at offset d reads
+    it; the masked reduce sums just that prefix of every row in one call.
+    """
     pi = state.pi
     n = state.chain.truncation
     pmf = np.empty(n)
-    pmf[0] = np.sum(np.tril(pi))  # gap <= 0, diagonal included
-    for d in range(1, n):
-        pmf[d] = np.trace(pi, offset=d)
+    pmf[0] = np.add.reduce(pi, axis=None, where=np.tri(n, dtype=bool))  # gap <= 0, diagonal included
+    diagonals = pi.reshape(-1)[: n * n - 1].reshape(n - 1, n + 1).T[1:n]
+    prefix = np.tri(n - 1, dtype=bool)[::-1]  # row d-1 keeps its first N-d entries
+    np.add.reduce(diagonals, axis=1, where=prefix, out=pmf[1:])
     return pmf
 
 

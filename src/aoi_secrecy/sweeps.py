@@ -273,7 +273,8 @@ _BY_CONFIG_KEY = {(s.section, s.key): s for s in SETTINGS}
 
 def _json_text(section: str, key: str, value: Any) -> str:
     """A JSON entry as the text of its INI line. The decoder keeps numbers
-    as their JSON text; a list becomes its entries joined by ", "."""
+    as their JSON text (and an object as its key/value pairs, refused
+    here); a list becomes its entries joined by ", "."""
     entries = value if isinstance(value, list) else [value]
     if not all(isinstance(v, str) for v in entries):
         raise ValueError(f"config entry [{section}] {key}: expected text, a number or a list of them, got {value!r}")
@@ -284,19 +285,28 @@ def load_config(path: str) -> dict[str, Any]:
     """Read key = value sections (or the JSON equivalent) into SweepSpec
     field overrides. Both syntaxes give each entry as literal text (no %
     interpolation, keys case-sensitive), read by its setting's parser as
-    its flag is. Unknown keys and malformed values are rejected with
-    ValueError so typos cannot pass silently."""
+    its flag is. Unknown keys (an INI [DEFAULT] key among them), repeated
+    sections or keys and malformed values are rejected with ValueError so
+    typos cannot pass silently."""
     with open(path) as handle:
         text = handle.read()
     sections: dict[str, dict[str, str]]
     if path.endswith(".json") or text.lstrip().startswith("{"):
-        sections = json.loads(text, parse_int=str, parse_float=str, parse_constant=str)
-        if not isinstance(sections, dict):
+        # each object decodes to its pairs, so a repeat is seen, not overwritten
+        top = json.loads(text, object_pairs_hook=tuple, parse_int=str, parse_float=str, parse_constant=str)
+        if not isinstance(top, tuple):
             raise ValueError("config JSON must be an object of sections")
-        for section, body in sections.items():
-            if not isinstance(body, dict):
+        sections = {}
+        for section, body in top:
+            if section in sections:
+                raise ValueError(f"config section [{section}] repeated")
+            if not isinstance(body, tuple):
                 raise ValueError(f"config section {section!r} must hold key/value pairs")
-            sections[section] = {key: _json_text(section, key, value) for key, value in body.items()}
+            entries = sections[section] = {}
+            for key, value in body:
+                if key in entries:
+                    raise ValueError(f"config entry [{section}] {key} repeated")
+                entries[key] = _json_text(section, key, value)
     else:
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keys match exactly, as flags and JSON keys do
@@ -304,6 +314,8 @@ def load_config(path: str) -> dict[str, Any]:
             parser.read_string(text)
         except configparser.Error as err:
             raise ValueError(f"config {path}: {err}") from None
+        for key in parser.defaults():  # [DEFAULT] would feed every section
+            raise ValueError(f"unknown config entry [{parser.default_section}] {key}")
         sections = {name: dict(parser[name]) for name in parser.sections()}
     overrides: dict[str, Any] = {}
     for section, body in sections.items():

@@ -11,6 +11,8 @@ import csv
 import io
 import json
 import logging
+import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -145,6 +147,34 @@ class TestConfigLoading:
             with pytest.raises(ValueError) as err:
                 load_config(str(path))
             assert message in str(err.value)
+
+    @pytest.mark.parametrize("name, text, message", [
+        # configparser would feed [DEFAULT] keys to every section, and a
+        # file holding only [DEFAULT] would load as no settings at all
+        ("default_only.ini", "[DEFAULT]\nhorizon = 5000\n", "unknown config entry [DEFAULT] horizon"),
+        ("default_beside_sim.ini", "[DEFAULT]\nhorizon = 5000\n[sim]\nreplications = 4\n",
+         "unknown config entry [DEFAULT] horizon"),
+        # a repeat is refused in JSON as INI refuses it, not kept last-wins
+        ("repeated_key.json", '{"sim": {"horizon": 5000, "horizon": 7000}}', "config entry [sim] horizon repeated"),
+        ("repeated_section.json", '{"sim": {"horizon": 5000}, "sim": {"replications": 4}}',
+         "config section [sim] repeated"),
+        ("repeated_key.ini", "[sim]\nhorizon = 5000\nhorizon = 7000\n", "option 'horizon' in section 'sim' already exists"),
+        ("repeated_section.ini", "[sim]\nhorizon = 5000\n[sim]\nreplications = 4\n", "section 'sim' already exists"),
+    ], ids=["default_only", "default_beside_sim", "repeated_key_json", "repeated_section_json",
+            "repeated_key_ini", "repeated_section_ini"])
+    def test_default_section_and_repeats_refused(self, no_leg_runs, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(str(path))
+        assert main(["fig1", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+
+    def test_empty_default_section_loads(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[DEFAULT]\n[sim]\nhorizon = 5000\n")
+        assert load_config(str(path)) == {"horizon": 5000}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -901,10 +931,13 @@ def test_float_formatting():
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "fig2.csv"
+    # the child imports the checkout's package, as this process does
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "aoi_secrecy", "fig2",
          "--q", "0.2", "--eta", "3", "--ptx", "0.5", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "fig2:" in proc.stdout

@@ -13,6 +13,7 @@ import ast
 import dataclasses
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from aoi_secrecy.oracle import (
     steady_state,
     truncation_for_mean_tol,
 )
-from aoi_secrecy.sweeps import TOL_MEAN, TOL_PROB
+from aoi_secrecy.sweeps import MAX_TRUNCATION, TOL_MEAN, TOL_PROB
 
 P = ChannelParams(0.8, 0.2)
 HALF = Policy(0.5)
@@ -401,6 +402,48 @@ class TestClosedFormAgreement:
         for convention in OutageConvention:
             measured = oracle_metrics(state, outage_event(threshold, convention)).outage_probability
             assert abs(measured - outage_probability(params, policy, threshold, convention)) <= slack
+
+
+def trace_gap_pmf(state):
+    """Reference gap law, one np.trace call per diagonal: the summation
+    order the goldens were written with."""
+    pi = state.pi
+    return np.array([np.sum(np.tril(pi))] + [np.trace(pi, offset=d) for d in range(1, len(pi))])
+
+
+def assert_gap_law_bits(params, policy, n, event):
+    state = steady_state(build_truncated_chain(params, policy, n))
+    pmf, reference = gap_pmf_array(state), trace_gap_pmf(state)
+    assert np.array_equal(pmf[1:], reference[1:])
+    # gap <= 0 is summed in another order; no metric reads it (weight 0 in
+    # the mean, and the tail starts at event + 1 >= 1)
+    assert abs(pmf[0] - reference[0]) <= 1e-14
+    with mock.patch("aoi_secrecy.oracle.gap_pmf_array", lambda _: reference):
+        expected = oracle_metrics(state, event)
+    report = oracle_metrics(state, event)
+    assert report.average_secrecy_age == expected.average_secrecy_age
+    assert report.outage_probability == expected.outage_probability
+
+
+class TestGapLawBits:
+    """Each diagonal is summed with np.trace's stride and order, bit for bit.
+    Sizes straddle numpy's pairwise-sum blocks (8 and 128 entries), where a
+    changed order would first show; if a numpy release changes how a masked
+    reduce orders its sum, this fails by name before a golden does."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 128, 129, 130, 257, 400, 1000])
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(
+        p=unit_interval(0.0, 1.0),
+        q=unit_interval(0.0, 1.0),
+        ptx=unit_interval(1.0, low=1e-12),
+        event=strategies.integers(0, 40),
+    )
+    def test_gap_law_matches_trace_loop(self, n, p, q, ptx, event):
+        assert_gap_law_bits(ChannelParams(p, q), Policy(ptx), n, event)
+
+    def test_at_the_truncation_cap(self):
+        assert_gap_law_bits(SLOW, HALF, MAX_TRUNCATION, 5)
 
 
 class TestTruncationSizing:
