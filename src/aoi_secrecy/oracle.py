@@ -257,6 +257,8 @@ def oracle_metrics(state: SteadyState, event: int | None = None) -> SecrecyRepor
     the outage Pr(secrecy age <= event) when an event index is given.
     Attached error bounds cover everything the clamp can distort.
     """
+    if event is not None and event < 0:
+        raise ValueError("event index must be >= 0")
     chain = state.chain
     n = chain.truncation
     pmf = gap_pmf_array(state)
@@ -268,8 +270,6 @@ def oracle_metrics(state: SteadyState, event: int | None = None) -> SecrecyRepor
     out_prob = None
     out_bound = 0.0
     if event is not None:
-        if event < 0:
-            raise ValueError("event index must be >= 0")
         # 1 minus the tail keeps the small quantity explicit
         tail = float(pmf[event + 1 :].sum()) if event + 1 < n else 0.0
         out_prob = 1.0 - tail

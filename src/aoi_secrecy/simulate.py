@@ -3,13 +3,14 @@
 Each replication walks the exact one-slot law from state (1, 1) using one
 uniform draw per slot (the same thresholds sample_slot uses, so a scalar
 walk with the same stream has the same secrecy ages), streamed in blocks
-of _CHUNK slots, and reduces the observation window to a gap histogram.
-The secrecy age changes only at reset events, so each block is reduced
-over its events alone, with the age each sets held for the run to the
-next. A replication's memory is about 1.1-1.6 MB whatever its horizon (the
-more, the more of its slots are events), besides the histogram (one entry
-per gap up to the largest seen). Replications are aggregated into
-normal-approximation confidence intervals across replication means.
+of _CHUNK slots, and reduces the observation window to its exact age sum
+and the counts of ages 0..event, the largest outage event the caller will
+read. The secrecy age changes only at reset events, so each block is
+reduced over its events alone, with the age each sets held for the run to
+the next. A replication's memory is about 1.1-1.6 MB whatever its horizon
+(the more, the more of its slots are events), plus 16 B per counted age.
+Replications are aggregated into normal-approximation confidence
+intervals across replication means.
 
 Seeding is stateless: replication r of base seed s draws from
 SeedSequence(entropy=s, spawn_key=(r,)), so any execution order or degree
@@ -31,16 +32,16 @@ DEFAULT_HORIZON = 10**6
 DEFAULT_BURN_IN = 10**4
 DEFAULT_REPLICATIONS = 32
 
-# most slots (burn_in + horizon) one replication may simulate. Time bounds
-# it; memory does not, since a replication streams through fixed-size
-# blocks, except at q = 0: the eavesdropper never resets, the gap grows by
-# one per slot and the int64 gap_hist with its geometric growth takes about
-# 17 B per slot (traced 19 MB at 10**6 slots, 69 MB at 4 * 10**6), so
-# about 1.7 GB at this bound. On a quiet 2-vCPU machine 10**8 slots take
-# about 1.2 s where most slots are reset events (p = q = 0.9, p_tx = 1) and
-# 0.35 s where few are (p_tx = 0.05), twice that under load. It must stay
-# below 2**31 so the int32 slot numbers of the walk cannot overflow
+# most slots (burn_in + horizon) one replication may simulate, a pure time
+# bound (memory streams through fixed-size blocks): on a quiet 2-vCPU
+# machine 10**8 slots take about 1.2 s where most slots are reset events
+# (p = q = 0.9, p_tx = 1) and 0.35 s where few are (p_tx = 0.05), twice that
+# under load. It must stay below 2**31 so the walk's int32 slots cannot overflow
 MAX_SLOTS = 10**8
+# largest event a replication counts ages up to: each counted age takes 16 B
+# (int64 counts and a block's float64 ones), 3.2 MB here, and at most about
+# doubles a replication's time (2 vCPUs, numpy 2.4.6); the paper's eta is single-digit
+MAX_EVENT = 2 * 10**5
 
 # slots per block of the streamed walk: its buffers and event arrays (about
 # 1.1 MB, 1.6 MB where every slot is an event) stay in cache, and one
@@ -82,27 +83,23 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ReplicationStats:
-    """Sufficient statistics of one replication's observation window.
-
-    gap_hist[k] counts observed slots with secrecy age exactly k, so
-    gap_hist[0] is the mass of nonpositive gaps and the histogram alone
-    determines the mean and any threshold frequency.
-    """
+    """Sufficient statistics of one replication's observation window: the
+    exact sum of its secrecy ages and gap_hist[k], its slots with secrecy age
+    exactly k (0 for nonpositive gaps) for k = 0..event (none without one)."""
 
     slots_observed: int
+    age_sum: int
     gap_hist: np.ndarray
 
     @property
     def mean_secrecy_age(self) -> float:
-        ks = np.arange(len(self.gap_hist))
-        return float(ks @ self.gap_hist) / self.slots_observed
+        return float(self.age_sum) / self.slots_observed
 
     def outage_at(self, k: int) -> float:
-        """Observed frequency of {secrecy age <= k}."""
-        if k < 0:
-            raise ValueError("event index must be >= 0")
-        above = self.gap_hist[k + 1 :].sum() if k + 1 < len(self.gap_hist) else 0
-        return float(self.slots_observed - above) / self.slots_observed
+        """Observed frequency of {secrecy age <= k}, for k = 0..event."""
+        if not 0 <= k < len(self.gap_hist):
+            raise ValueError(f"event index {k} outside the counted ages 0..{len(self.gap_hist) - 1}")
+        return float(self.gap_hist[: k + 1].sum()) / self.slots_observed
 
 
 @dataclass(frozen=True)
@@ -171,18 +168,19 @@ def _events(
 
 
 def run_replication(
-    params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
+    params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int, event: int | None = None
 ) -> ReplicationStats:
-    """Simulate one replication and reduce its observation window to a gap
-    histogram, block by block over the events of _events: the age an event
-    sets holds for the run of slots up to the next event, so one bincount of
-    the ages weighted by their runs (clipped to the window) counts a block,
-    and memory does not grow with the horizon (except through the histogram
-    itself)."""
+    """Simulate one replication and reduce its observation window to its age
+    sum and, given an event, the counts of ages 0..event, block by block over
+    the events of _events: the age an event sets holds for the run of slots
+    up to the next, so one dot product and one bincount of the ages weighted
+    by their runs (clipped to the window) count a block."""
+    if event is not None and not 0 <= event <= MAX_EVENT:
+        raise ValueError(f"event index must be >= 0 and at most {MAX_EVENT}, got {event}")
+    cap = 0 if event is None else event + 1
     size = min(_CHUNK, config.burn_in + config.horizon) + 1
-    run_buf, shift_buf = np.empty(size), np.empty(size, dtype=np.intp)
-    hist = np.zeros(1, dtype=np.int64)
-    top = 1  # the largest gap + 1; hist beyond it is spare capacity
+    run_buf, clip_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.intp)
+    age_sum, hist = 0, np.zeros(cap, dtype=np.int64)
     for slots, ages in _events(params, policy, config, replication_index):
         lo = max(config.burn_in, int(slots[0]))  # the block's first observed slot
         if lo >= slots[-1]:
@@ -193,17 +191,14 @@ def run_replication(
         slots, ages = slots[k:], ages[k:]
         slots[0] = lo
         runs = np.subtract(slots[1:], slots[:-1], out=run_buf[: len(ages)])
-        # counting from the smallest age keeps the counts block-sized where
-        # the gap grows without bound (q = 0)
-        low = int(ages.min())
-        counts = np.bincount(np.subtract(ages, low, out=shift_buf[: len(ages)]), weights=runs)
-        high = low + len(counts)
-        if high > len(hist):  # grow geometrically: q = 0 raises the top gap every block
-            hist = np.concatenate([hist, np.zeros(max(high, 2 * len(hist)) - len(hist), dtype=np.int64)])
-        # weighted counts are float64 sums of whole runs, so exact
-        np.add(hist[low:high], counts, out=hist[low:high], casting="unsafe")
-        top = max(top, high)
-    return ReplicationStats(slots_observed=config.horizon, gap_hist=hist[:top].copy())
+        # an integer dot is exact (and numpy keeps it off BLAS)
+        age_sum += int(np.dot(ages, runs))
+        if cap:
+            # ages above the event share the dropped last bin; weighted counts
+            # are float64 sums of whole runs, so exact
+            clipped = np.minimum(ages, cap, out=clip_buf[: len(ages)])
+            np.add(hist, np.bincount(clipped, weights=runs, minlength=cap + 1)[:cap], out=hist, casting="unsafe")
+    return ReplicationStats(slots_observed=config.horizon, age_sum=age_sum, gap_hist=hist)
 
 
 def _ci(values: Sequence[float]) -> tuple[float, Optional[float]]:
@@ -251,7 +246,7 @@ def estimate(
     indices = range(config.replications)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(lambda r: run_replication(params, policy, config, r), indices))
+            stats = list(pool.map(lambda r: run_replication(params, policy, config, r, event), indices))
     else:
-        stats = [run_replication(params, policy, config, r) for r in indices]
+        stats = [run_replication(params, policy, config, r, event) for r in indices]
     return aggregate(stats, event)

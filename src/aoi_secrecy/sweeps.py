@@ -37,6 +37,7 @@ from .simulate import (
     DEFAULT_BURN_IN,
     DEFAULT_HORIZON,
     DEFAULT_REPLICATIONS,
+    MAX_EVENT,
     SimConfig,
     estimate,
 )
@@ -175,6 +176,9 @@ class SweepSpec:
             )
         if any(not (isinstance(e, int) and e >= 1) for e in self.eta_values):
             raise ValueError("eta grid values must be integers >= 1")
+        if "monte_carlo" in self.methods and max(self.eta_values, default=0) > MAX_EVENT:
+            raise ValueError(f"eta grid value {max(self.eta_values)} above {MAX_EVENT}: "
+                             "a Monte Carlo replication counts every age up to it")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not 0.0 < self.optimize_step <= 0.5:

@@ -145,7 +145,7 @@ def test_criterion_3_outage_event_adjudication(capsys):
     printed form, for eta_th in {1, 3, 5, 10}."""
     params, policy = ChannelParams(0.8, 0.2), Policy(0.5)
     config = SimConfig(base_seed=point_seed(3, 0))
-    stats = [run_replication(params, policy, config, r) for r in range(config.replications)]
+    stats = [run_replication(params, policy, config, r, event=10) for r in range(config.replications)]
     details = []
     ok = True
     for eta in (1, 3, 5, 10):

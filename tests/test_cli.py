@@ -340,6 +340,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(experiment="compare", methods=base.methods, p_values=(0.8,),
                       q_values=(0.2,), ptx_values=(0.5,), eta_values=(0,))
+        # a Monte Carlo replication keeps one count per age up to eta; the
+        # other routes take any eta
+        grids = dict(p_values=(0.8,), q_values=(0.2,), ptx_values=(0.5,))
+        SweepSpec(experiment="compare", methods=base.methods, eta_values=(sweeps.MAX_EVENT,), **grids)
+        SweepSpec(experiment="compare", methods=("closed_form", "oracle"), eta_values=(10**9,), **grids)
+        with pytest.raises(ValueError, match="a Monte Carlo replication counts every age up to it"):
+            SweepSpec(experiment="fig2", methods=("monte_carlo",), eta_values=(sweeps.MAX_EVENT + 1,),
+                      **grids)
 
     def test_required_grids_per_experiment(self):
         with pytest.raises(ValueError, match="ratio_values"):
@@ -705,6 +713,8 @@ class TestErrorPaths:
         # one replication's time is bounded by the slot bound, checked
         # before any leg runs
         ("--horizon", "1000000000", "burn_in + horizon = 1000001000 slots exceeds the per-replication bound 100000000"),
+        # each replication in flight keeps one count per age up to eta
+        ("--eta", "5,200001", "eta grid value 200001 above 200000: a Monte Carlo replication counts every age up to it"),
     ])
     def test_bad_simulation_setting_rejected_before_any_leg(self, no_leg_runs, capsys, flag, value, message):
         code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value])

@@ -345,9 +345,11 @@ class TestOracleMetrics:
         assert bounds[0][0] > bounds[1][0] > bounds[2][0]
         assert bounds[0][1] > bounds[1][1] > bounds[2][1]
 
-    def test_negative_event_rejected(self):
+    def test_negative_event_rejected(self, monkeypatch):
+        # before the O(N^2) gap law is summed
         st = steady_state(build_truncated_chain(P, HALF, 60))
-        with pytest.raises(ValueError, match="event index"):
+        monkeypatch.setattr(aoi_secrecy.oracle, "gap_pmf_array", lambda *a: pytest.fail("the gap law was summed"))
+        with pytest.raises(ValueError, match="event index must be >= 0"):
             oracle_metrics(st, -1)
 
     def test_mean_bound_infinite_when_q_zero(self):

@@ -32,6 +32,7 @@ from aoi_secrecy.model import (
     secrecy_age,
 )
 from aoi_secrecy.simulate import (
+    MAX_EVENT,
     MAX_SLOTS,
     SimConfig,
     _events,
@@ -80,13 +81,15 @@ def pinned_run():
         replications=8,
         base_seed=PINNED_SEED,
     )
-    stats = [run_replication(P, ALWAYS, config, r) for r in range(config.replications)]
+    stats = [run_replication(P, ALWAYS, config, r, event=15) for r in range(config.replications)]
     return config, stats
 
 
-# sha256 (first 16 hex digits) of the gap_hist dtype string and bytes of
-# run_replication(ChannelParams(p, q), Policy(p_tx), SimConfig(horizon,
-# burn_in, base_seed=77), 3), keyed (point, burn_in, horizon). The strata:
+# sha256 (first 16 hex digits) of the dtype string and bytes of the gap_hist
+# of run_replication(ChannelParams(p, q), Policy(p_tx), SimConfig(horizon,
+# burn_in, base_seed=77), 3, event), run for the largest age a window can
+# hold (event = burn_in + horizon - 1) with its trailing zeros trimmed, so
+# that it ends at the largest gap seen, keyed (point, burn_in, horizon). The strata:
 # p, q in {0, 1} at p_tx = 1, a sparse (p_tx 0.05), a medium (p_tx 0.5) and
 # a dense (p_tx 1) interior point, a receiver-only-heavy one (receiver-only
 # probability 0.81) and an interior q = 0 one, whose gap grows without bound;
@@ -179,9 +182,12 @@ def hist_digest(hist: np.ndarray) -> str:
 def test_gap_hist_golden(name, burn_in, horizon):
     p, q, p_tx = GOLDEN_POINTS[name]
     config = SimConfig(horizon=horizon, burn_in=burn_in, base_seed=77)
-    stats = run_replication(ChannelParams(p, q), Policy(p_tx), config, 3)
+    stats = run_replication(ChannelParams(p, q), Policy(p_tx), config, 3, event=burn_in + horizon - 1)
+    assert len(stats.gap_hist) == burn_in + horizon
     assert stats.gap_hist.sum() == horizon
-    assert hist_digest(stats.gap_hist) == GAP_HIST_DIGESTS[name, burn_in, horizon]
+    trimmed = np.trim_zeros(stats.gap_hist, "b")
+    assert stats.age_sum == np.arange(len(trimmed)) @ trimmed
+    assert hist_digest(trimmed) == GAP_HIST_DIGESTS[name, burn_in, horizon]
 
 
 class TestSimConfig:
@@ -200,8 +206,7 @@ class TestSimConfig:
             SimConfig(base_seed=2**64)
 
     def test_slot_bound(self):
-        # a time bound: memory is flat in the horizon except at q = 0, where
-        # the gap histogram grows by about 17 B per slot, and the walk's
+        # a pure time bound: a replication's memory is fixed, and the walk's
         # int32 slot indices need fewer than 2**31 slots
         assert MAX_SLOTS < 2**31
         SimConfig(horizon=MAX_SLOTS - 10, burn_in=10)
@@ -211,21 +216,26 @@ class TestSimConfig:
             SimConfig(horizon=2**62)
 
     def test_replication_memory_flat_in_horizon(self):
-        # a replication streams through fixed-size blocks: its traced peak
-        # (about 1.3 MB at (0.8, 0.2, 0.5), 1.6 MB at (0.9, 0.9, 1.0), where
-        # nearly every slot is an event and a block's event arrays are
-        # full-sized) does not grow with the horizon
-        for params, policy in ((P, HALF), (ChannelParams(0.9, 0.9), ALWAYS)):
-            for horizon in (10**5, 10**6):
+        # a replication streams through fixed-size blocks and keeps event + 1
+        # counts: its traced peak (about 1.3 MB at (0.8, 0.2, 0.5), 1.6 MB at
+        # (0.9, 0.9, 1.0), where nearly every slot is an event and a block's
+        # event arrays are full-sized) does not grow with the horizon, also
+        # where the gap grows without bound (q = 0) or nearly so (q = 1e-6)
+        cases = [(P, HALF, (10**5, 10**6), 10), (ChannelParams(0.9, 0.9), ALWAYS, (10**5, 10**6), 10)]
+        cases += [(ChannelParams(0.5, q), ALWAYS, (10**6, 4 * 10**6), 10) for q in (0.0, 1e-6)]
+        # the counts add 16 B per counted age, up to the largest event
+        cases += [(ChannelParams(0.5, 0.0), ALWAYS, (10**6,), MAX_EVENT)]
+        for params, policy, horizons, event in cases:
+            for horizon in horizons:
                 config = SimConfig(horizon=horizon, burn_in=10**3, base_seed=4)
-                run_replication(params, policy, config, 0)
+                run_replication(params, policy, config, 0, event=event)
                 tracemalloc.start()
                 try:
-                    run_replication(params, policy, config, 0)
+                    run_replication(params, policy, config, 0, event=event)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak <= 2 * 2**20, (params, policy, horizon)
+                assert peak <= 2 * 2**20 + 16 * (event + 1), (params, policy, horizon, event)
 
 
 class TestDegenerateChains:
@@ -267,8 +277,9 @@ class TestDeterminism:
 
     def test_replications_use_distinct_streams(self):
         config = SimConfig(horizon=10_000, burn_in=0, replications=2, base_seed=5)
-        a = run_replication(P, HALF, config, 0)
-        b = run_replication(P, HALF, config, 1)
+        a = run_replication(P, HALF, config, 0, event=50)
+        b = run_replication(P, HALF, config, 1, event=50)
+        assert a.age_sum != b.age_sum
         assert not np.array_equal(a.gap_hist, b.gap_hist)
 
     def test_matches_scalar_walk_slot_by_slot(self):
@@ -289,8 +300,13 @@ class TestDeterminism:
             assert ages[t] == secrecy_age(state)
             if t >= config.burn_in:
                 observed.append(secrecy_age(state))
-        # the replication's histogram is that of the scalar walk's window
-        assert np.array_equal(run_replication(params, policy, config, rep).gap_hist, np.bincount(observed))
+        # the replication's age sum and counts are those of the scalar
+        # walk's window, the counts up to an event below and above its
+        # largest age
+        for cap in (4, 400):
+            stats = run_replication(params, policy, config, rep, event=cap - 1)
+            assert stats.age_sum == sum(observed)
+            assert np.array_equal(stats.gap_hist, np.bincount(observed, minlength=cap)[:cap])
 
     def test_matches_scalar_walk_across_blocks(self, monkeypatch):
         # the same 350 states when the walk is cut into blocks of 7 slots
@@ -311,11 +327,13 @@ class TestDeterminism:
     @pytest.mark.parametrize("burn_in", [0, 6, 7, 8, 13, 14, 15])
     def test_block_size_invisible(self, monkeypatch, params, policy, chunk, burn_in):
         config = SimConfig(horizon=1_003, burn_in=burn_in, base_seed=8)
-        expected = run_replication(params, policy, config, 1).gap_hist
+        observed = scalar_window_ages(params, policy, config, 1)
+        cap = config.burn_in + config.horizon
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        got = run_replication(params, policy, config, 1).gap_hist
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
+        got = run_replication(params, policy, config, 1, event=cap - 1)
+        assert got.age_sum == sum(observed)
+        assert got.gap_hist.dtype == np.int64
+        assert np.array_equal(got.gap_hist, np.bincount(observed, minlength=cap)[:cap])
 
     @given(
         p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
@@ -334,12 +352,15 @@ class TestDeterminism:
     def test_matches_scalar_walk_histogram(self, p, q, p_tx, horizon, burn_frac, chunk):
         params, policy = ChannelParams(p, q), Policy(p_tx)
         config = SimConfig(horizon=horizon, burn_in=int(burn_frac * horizon), base_seed=21)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "_CHUNK", chunk)
-            got = run_replication(params, policy, config, 0).gap_hist
-        expected = np.bincount(scalar_window_ages(params, policy, config, 0))
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
+        observed = scalar_window_ages(params, policy, config, 0)
+        # counts up to an event inside the window's ages and past them all
+        for cap in (8, config.burn_in + horizon):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulate, "_CHUNK", chunk)
+                got = run_replication(params, policy, config, 0, event=cap - 1)
+            assert got.age_sum == sum(observed)
+            assert got.gap_hist.dtype == np.int64
+            assert np.array_equal(got.gap_hist, np.bincount(observed, minlength=cap)[:cap])
 
 
 class TestStatisticalAgreement:
@@ -375,9 +396,7 @@ class TestStatisticalAgreement:
     def test_empirical_gap_pmf_tracks_closed_pmf(self, pinned_run):
         _, stats = pinned_run
         total = sum(s.slots_observed for s in stats)
-        pooled = np.zeros(max(len(s.gap_hist) for s in stats), dtype=np.int64)
-        for s in stats:
-            pooled[: len(s.gap_hist)] += s.gap_hist
+        pooled = sum(s.gap_hist for s in stats)
         for d in range(1, 16):
             target = secrecy_gap_pmf(d, P, ALWAYS)
             sigma = (target * (1 - target) / total) ** 0.5
@@ -422,6 +441,42 @@ class TestAggregation:
             aggregate([])
 
     def test_negative_event_rejected(self):
-        stats = run_replication(P, HALF, SimConfig(horizon=100, burn_in=0, base_seed=0), 0)
+        stats = run_replication(P, HALF, SimConfig(horizon=100, burn_in=0, base_seed=0), 0, event=5)
         with pytest.raises(ValueError):
             stats.outage_at(-1)
+
+    def test_event_out_of_range_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_events", lambda *a: pytest.fail("the walk ran"))
+        config = SimConfig(horizon=100, burn_in=0, replications=3, base_seed=0)
+        # a negative event, and one past the counts a replication may keep
+        for event in (-1, MAX_EVENT + 1):
+            with pytest.raises(ValueError, match="event index must be >= 0"):
+                run_replication(P, HALF, config, 0, event=event)
+            for workers in (1, 2):
+                with pytest.raises(ValueError, match=f"at most {MAX_EVENT}, got {event}"):
+                    estimate(P, HALF, config, event=event, workers=workers)
+
+    def test_reads_past_the_event_refused(self):
+        # the counts stop at the event a replication ran for: a read past it
+        # is refused, not guessed from missing counts
+        config = SimConfig(horizon=2_000, burn_in=0, replications=2, base_seed=1)
+        stats = [run_replication(P, HALF, config, r, event=5) for r in range(2)]
+        assert len(stats[0].gap_hist) == 6
+        assert stats[0].outage_at(5) < 1.0
+        with pytest.raises(ValueError, match="outside the counted ages 0..5"):
+            stats[0].outage_at(6)
+        assert aggregate(stats, event=5).outage_estimate < 1.0
+        with pytest.raises(ValueError):
+            aggregate(stats, event=6)
+
+    def test_mean_only_run_keeps_no_counts(self):
+        config = SimConfig(horizon=2_000, burn_in=100, replications=2, base_seed=1)
+        for r in range(2):
+            bare = run_replication(P, HALF, config, r)
+            counted = run_replication(P, HALF, config, r, event=5)
+            assert len(bare.gap_hist) == 0
+            assert bare.age_sum == counted.age_sum
+            assert bare.mean_secrecy_age == counted.mean_secrecy_age
+            with pytest.raises(ValueError):
+                bare.outage_at(0)
+        assert estimate(P, HALF, config).mean_secrecy_age == estimate(P, HALF, config, event=5).mean_secrecy_age
