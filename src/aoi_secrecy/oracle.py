@@ -10,7 +10,9 @@ to every reported metric as rigorous error bounds.
 
 steady_state solves the clamped law directly in O(N^2) from the chain's
 four one-slot outcome masses, then checks it with one application of the
-operator: the L1 residual is reported, and one above tol raises.
+operator, run over row blocks of about BLOCK_CELLS entries written into one
+reused buffer: the L1 residual is summed block by block and reported, and
+one above tol raises. A solve holds one N^2 array, the law itself.
 gap_pmf_array reads the gap law off the solved law's superdiagonals in one
 masked reduce over a strided view, each diagonal summed in the order
 numpy's trace uses.
@@ -23,11 +25,16 @@ two routes is evidence, not circularity.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import AgeState, ChannelParams, Policy, SecrecyReport, transition_distribution
+
+# entries per row block of the one-step check: 256 KB of float64, which
+# stays in cache while it is written, compared and summed
+BLOCK_CELLS = 2**15
 
 
 class StationarityError(RuntimeError):
@@ -76,29 +83,76 @@ class TruncatedChain:
     def apply(self, dist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One application of the transition operator: out = dist @ T.
 
-        dist[i-1, j-1] holds the mass on (i, j). Column/row 0 of the output
-        collect the single-reset outcomes, entry (0, 0) the double reset,
-        the shifted diagonal block the no-reset outcome, with the last row
-        and column folding the clamped increments back onto themselves.
+        dist[i-1, j-1] holds the mass on (i, j). out must be a separate
+        (N, N) array: every row reads dist's row and column sums, so writing
+        over dist as the rows go would corrupt the law.
         """
+        n = self._check_shape(dist)
+        if out is None:
+            out = np.empty_like(dist)
+        elif out.shape != (n, n):
+            raise ValueError(f"out shape {out.shape} != ({n}, {n})")
+        elif np.may_share_memory(out, dist):
+            raise ValueError("out overlaps dist: the operator reads all of dist while writing out")
+        self._rows(dist, dist.sum(axis=1), dist.sum(axis=0), 0, out)
+        return out
+
+    def apply_blocks(self, dist: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """The same application, max(1, BLOCK_CELLS // N) rows at a time.
+
+        Yields (start, block), block holding rows start.. of dist @ T. Every
+        block is a view of one buffer that the next block overwrites, so
+        beyond dist a full pass holds one block and dist's two sums.
+        """
+        n = self._check_shape(dist)
+        rows = max(1, BLOCK_CELLS // n)
+        buffer = np.empty((min(rows, n), n))
+        row, col = dist.sum(axis=1), dist.sum(axis=0)
+        for start in range(0, n, rows):
+            block = buffer[: min(rows, n - start)]
+            self._rows(dist, row, col, start, block)
+            yield start, block
+
+    def one_step_residual(self, dist: np.ndarray) -> float:
+        """L1 norm of dist @ T - dist, summed block by block over
+        apply_blocks: every entry is computed, none is skipped."""
+        residual = 0.0
+        for start, block in self.apply_blocks(dist):
+            block -= dist[start : start + len(block)]
+            residual += float(np.abs(block, out=block).sum())
+        return residual
+
+    def _check_shape(self, dist: np.ndarray) -> int:
         n = self.truncation
         if dist.shape != (n, n):
             raise ValueError(f"distribution shape {dist.shape} != ({n}, {n})")
-        if out is None:
-            out = np.empty_like(dist)
+        return n
+
+    def _rows(self, dist: np.ndarray, row: np.ndarray, col: np.ndarray, start: int, out: np.ndarray) -> None:
+        """Rows start..start+len(out)-1 of dist @ T into out, given dist's
+        row and column sums. Column 0 collects the single-reset outcome of
+        the eavesdropper, row 0 that of the receiver, entry (0, 0) the
+        double reset; the no-reset outcome shifts the rest down the
+        diagonal, with the last row and column folding the clamped
+        increments back onto themselves. Each entry takes the same
+        operations in the same order whatever the block."""
+        n = self.truncation
+        stop = start + len(out)
+        first = max(start, 1)  # every row but 0 takes the shifted outcomes
+        shifted = out[first - start :]
         stay = self.p_neither
-        np.multiply(dist[:-1, :-1], stay, out=out[1:, 1:])
-        out[n - 1, 1:] += stay * dist[n - 1, :-1]
-        out[1:, n - 1] += stay * dist[:-1, n - 1]
-        out[n - 1, n - 1] += stay * dist[n - 1, n - 1]
-        row = dist.sum(axis=1)
-        col = dist.sum(axis=0)
-        out[1:, 0] = self.p_only_e * row[:-1]
-        out[n - 1, 0] += self.p_only_e * row[n - 1]
-        out[0, 1:] = self.p_only_d * col[:-1]
-        out[0, n - 1] += self.p_only_d * col[n - 1]
-        out[0, 0] = self.p_both * row.sum()
-        return out
+        np.multiply(dist[first - 1 : stop - 1, :-1], stay, out=shifted[:, 1:])
+        if stop == n:
+            out[-1, 1:] += stay * dist[n - 1, :-1]
+        shifted[:, n - 1] += stay * dist[first - 1 : stop - 1, n - 1]
+        shifted[:, 0] = self.p_only_e * row[first - 1 : stop - 1]
+        if stop == n:
+            out[-1, -1] += stay * dist[n - 1, n - 1]
+            out[-1, 0] += self.p_only_e * row[n - 1]
+        if start == 0:
+            out[0, 1:] = self.p_only_d * col[:-1]
+            out[0, n - 1] += self.p_only_d * col[n - 1]
+            out[0, 0] = self.p_both * row.sum()
 
 
 def build_truncated_chain(params: ChannelParams, policy: Policy, truncation: int) -> TruncatedChain:
@@ -166,8 +220,11 @@ def steady_state(chain: TruncatedChain, tol: float = 1e-12) -> SteadyState:
     - the corner solves its own balance equation, and is the whole mass
       when nothing ever resets (p = q = 0).
     Every entry is a sum of products of non-negative masses. One operator
-    application then measures the L1 residual, and a residual above tol
-    raises StationarityError.
+    application then measures the L1 residual. It runs over row blocks
+    (TruncatedChain.one_step_residual), so pi is the only N^2 array the
+    solve holds, and the residual is summed block by block; the interior
+    part is exactly 0.0 by construction and is computed all the same. A
+    residual above tol raises StationarityError.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -175,7 +232,7 @@ def steady_state(chain: TruncatedChain, tol: float = 1e-12) -> SteadyState:
     stay = chain.p_neither
     row = _clamped_age_law(chain.reset_rate_d, chain.p_only_e + stay, n)
     col = _clamped_age_law(chain.reset_rate_e, chain.p_only_d + stay, n)
-    pi = np.zeros((n, n))
+    pi = np.empty((n, n))
     pi[0, 0] = chain.p_both
     pi[1:, 0] = chain.p_only_e * row[:-1]
     pi[n - 1, 0] = chain.p_only_e * (row[n - 2] + row[n - 1])
@@ -191,9 +248,7 @@ def steady_state(chain: TruncatedChain, tol: float = 1e-12) -> SteadyState:
         pi[n - 1, n - 1] = stay * boundary / escape
     else:
         pi[n - 1, n - 1] = 1.0  # nothing resets: every path ends in the corner
-    check = chain.apply(pi)
-    check -= pi
-    residual = float(np.abs(check, out=check).sum())
+    residual = chain.one_step_residual(pi)
     if not residual <= tol:
         raise StationarityError(residual, tol)
     return SteadyState(chain=chain, pi=pi, residual=residual, iterations=1)
@@ -245,9 +300,10 @@ def gap_pmf_array(state: SteadyState) -> np.ndarray:
     pi = state.pi
     n = state.chain.truncation
     pmf = np.empty(n)
-    pmf[0] = np.add.reduce(pi, axis=None, where=np.tri(n, dtype=bool))  # gap <= 0, diagonal included
+    lower = np.tri(n, dtype=bool)
+    pmf[0] = np.add.reduce(pi, axis=None, where=lower)  # gap <= 0, diagonal included
     diagonals = pi.reshape(-1)[: n * n - 1].reshape(n - 1, n + 1).T[1:n]
-    prefix = np.tri(n - 1, dtype=bool)[::-1]  # row d-1 keeps its first N-d entries
+    prefix = lower[::-1][1:, :-1]  # row d-1 keeps its first N-d entries
     np.add.reduce(diagonals, axis=1, where=prefix, out=pmf[1:])
     return pmf
 

@@ -15,7 +15,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
@@ -579,7 +578,7 @@ class TestOptimizeCommand:
         assert len(expected) * len(spec.p_values) == 64
         assert run_optimize(spec).rows == expected
 
-    def test_finest_step_memory_is_a_few_grids(self):
+    def test_finest_step_memory_is_a_few_grids(self, traced_peak):
         # each probe is scored on its own, so the traced peak is a few
         # grid-sized arrays (measured 30.5 MB against an 8 MB grid); scoring
         # the two p probes as one 2-D array measured 56 MB
@@ -588,12 +587,7 @@ class TestOptimizeCommand:
             q_values=(0.2,), eta_values=(5,), p_values=(0.3, 0.8),
         )
         grid_bytes = 8 * int(round(1 / sweeps.MIN_OPTIMIZE_STEP))
-        tracemalloc.start()
-        try:
-            result = run_optimize(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: run_optimize(spec))
         assert result.exit_code == 0
         assert peak <= 5 * grid_bytes, peak
 

@@ -38,6 +38,7 @@ from aoi_secrecy.analytics import (
 )
 from aoi_secrecy.model import ChannelParams, Policy, SecrecyThreshold, transition_distribution, AgeState
 from aoi_secrecy.oracle import (
+    BLOCK_CELLS,
     StationarityError,
     build_truncated_chain,
     gap_pmf_array,
@@ -203,8 +204,49 @@ class TestOperator:
 
     def test_apply_rejects_wrong_shape(self):
         chain = build_truncated_chain(P, HALF, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distribution shape"):
             chain.apply(np.zeros((9, 9)))
+        with pytest.raises(ValueError, match=r"out shape \(10, 9\) != \(10, 10\)"):
+            chain.apply(random_dist(10, seed=3), np.empty((10, 9)))
+
+    def test_apply_refuses_out_overlapping_dist(self):
+        # every row reads dist's row and column sums: written in place, a
+        # 6x6 law came out with mass 0.82
+        chain = build_truncated_chain(P, HALF, 6)
+        dist = random_dist(6, seed=11)
+        kept = dist.copy()
+        for out in (dist, dist[::-1], dist.T):
+            with pytest.raises(ValueError, match="out overlaps dist"):
+                chain.apply(dist, out)
+        assert np.array_equal(dist, kept)
+        out = np.empty_like(dist)
+        assert chain.apply(dist, out) is out
+        assert np.array_equal(out, chain.apply(dist))
+        assert out.sum() == pytest.approx(1.0, abs=1e-15)
+
+    # N = 2; one block covers N = 181 whole; 313 = 3 * 104 + 1 leaves its last
+    # block one row; 400 and 408 are the benchmark's truncations
+    @pytest.mark.parametrize("n", [2, 181, 313, 400, 408])
+    def test_blocks_are_the_full_application(self, n):
+        chain = build_truncated_chain(SLOW, HALF, n)
+        rows = max(1, BLOCK_CELLS // n)
+        for dist in (random_dist(n, seed=n), steady_state(chain).pi):
+            blocks = [(start, block, block.copy()) for start, block in chain.apply_blocks(dist)]
+            assert [start for start, _, _ in blocks] == list(range(0, n, rows))
+            assert all(np.shares_memory(block, blocks[0][1]) for _, block, _ in blocks)  # one buffer
+            assert np.array_equal(np.concatenate([copy for _, _, copy in blocks]), chain.apply(dist))
+        assert (len(blocks[-1][2]) == 1) == (n == 313)
+
+    @pytest.mark.parametrize("n", [2, 181, 313, 400, 408])
+    def test_residual_sums_every_block(self, n):
+        chain = build_truncated_chain(SLOW, HALF, n)
+        state = steady_state(chain)
+        assert state.residual == chain.one_step_residual(state.pi)
+        assert abs(state.residual - float(np.abs(chain.apply(state.pi) - state.pi).sum())) <= 1e-28
+        # off the stationary law every block, the interior too, adds mass
+        dist = random_dist(n, seed=n)
+        full = float(np.abs(chain.apply(dist) - dist).sum())
+        assert chain.one_step_residual(dist) == pytest.approx(full, rel=1e-12)
 
 
 class TestSteadyState:
@@ -247,15 +289,35 @@ class TestSteadyState:
             with pytest.raises(ValueError, match="tol"):
                 steady_state(chain, tol=tol)
 
-    def test_law_failing_one_operator_step_raises(self):
+    @pytest.mark.parametrize("mass", ["p_both", "p_only_e", "p_only_d", "p_neither"])
+    def test_law_failing_one_operator_step_raises(self, mass):
         # outcome masses summing to 1.01 admit no stationary law; the
-        # solved candidate is caught by its residual
-        chain = build_truncated_chain(P, HALF, 60)
-        leaky = dataclasses.replace(chain, p_neither=chain.p_neither + 0.01)
+        # solved candidate is caught by its residual, summed over 5 blocks
+        chain = build_truncated_chain(P, HALF, 400)
+        leaky = dataclasses.replace(chain, **{mass: getattr(chain, mass) + 0.01})
         with pytest.raises(StationarityError) as exc:
             steady_state(leaky)
         assert exc.value.tol == 1e-12
         assert exc.value.residual > exc.value.tol
+
+    def test_edge_defect_alone_raises(self, monkeypatch):
+        # a last row and column 1% too heavy, every other entry exact; at
+        # reset rate p_tx q = 0.02 the clamped column holds 3e-4 of the mass
+        fold = aoi_secrecy.oracle._fold
+        monkeypatch.setattr(aoi_secrecy.oracle, "_fold", lambda *args: [1.01 * v for v in fold(*args)])
+        with pytest.raises(StationarityError):
+            steady_state(build_truncated_chain(SLOW, Policy(0.2), 400))
+
+    def test_solve_holds_one_law_array(self, traced_peak):
+        n = MAX_TRUNCATION
+        chain = build_truncated_chain(SLOW, HALF, n)
+        law_bytes = 8 * n * n
+        state, peak = traced_peak(lambda: steady_state(chain))
+        assert peak <= 1.1 * law_bytes, peak / law_bytes
+        del state
+        # the metrics add one N^2 boolean mask to the held law
+        _, peak = traced_peak(lambda: oracle_metrics(steady_state(chain), 5))
+        assert peak <= 1.25 * law_bytes, peak / law_bytes
 
     def test_iteration_budget_exhaustion_raises(self):
         chain = build_truncated_chain(P, HALF, 60)

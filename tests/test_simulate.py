@@ -8,7 +8,6 @@ sampler.
 """
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,7 +214,7 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="exceeds the per-replication bound"):
             SimConfig(horizon=2**62)
 
-    def test_replication_memory_flat_in_horizon(self):
+    def test_replication_memory_flat_in_horizon(self, traced_peak):
         # a replication streams through fixed-size blocks and keeps event + 1
         # counts: its traced peak (about 1.3 MB at (0.8, 0.2, 0.5), 1.6 MB at
         # (0.9, 0.9, 1.0), where nearly every slot is an event and a block's
@@ -229,12 +228,7 @@ class TestSimConfig:
             for horizon in horizons:
                 config = SimConfig(horizon=horizon, burn_in=10**3, base_seed=4)
                 run_replication(params, policy, config, 0, event=event)
-                tracemalloc.start()
-                try:
-                    run_replication(params, policy, config, 0, event=event)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                _, peak = traced_peak(lambda: run_replication(params, policy, config, 0, event=event))
                 assert peak <= 2 * 2**20 + 16 * (event + 1), (params, policy, horizon, event)
 
 
