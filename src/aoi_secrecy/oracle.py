@@ -25,7 +25,6 @@ two routes is evidence, not circularity.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,27 +96,20 @@ class TruncatedChain:
         self._rows(dist, dist.sum(axis=1), dist.sum(axis=0), 0, out)
         return out
 
-    def apply_blocks(self, dist: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """The same application, max(1, BLOCK_CELLS // N) rows at a time.
-
-        Yields (start, block), block holding rows start.. of dist @ T. Every
-        block is a view of one buffer that the next block overwrites, so
-        beyond dist a full pass holds one block and dist's two sums.
-        """
+    def one_step_residual(self, dist: np.ndarray) -> float:
+        """L1 norm of dist @ T - dist. The application runs max(1,
+        BLOCK_CELLS // N) rows at a time into one reused buffer, and each
+        block's part is summed before the next overwrites it: every entry is
+        computed, none is skipped, and beyond dist a pass holds one block
+        and dist's two sums."""
         n = self._check_shape(dist)
         rows = max(1, BLOCK_CELLS // n)
         buffer = np.empty((min(rows, n), n))
         row, col = dist.sum(axis=1), dist.sum(axis=0)
+        residual = 0.0
         for start in range(0, n, rows):
             block = buffer[: min(rows, n - start)]
             self._rows(dist, row, col, start, block)
-            yield start, block
-
-    def one_step_residual(self, dist: np.ndarray) -> float:
-        """L1 norm of dist @ T - dist, summed block by block over
-        apply_blocks: every entry is computed, none is skipped."""
-        residual = 0.0
-        for start, block in self.apply_blocks(dist):
             block -= dist[start : start + len(block)]
             residual += float(np.abs(block, out=block).sum())
         return residual

@@ -4,13 +4,13 @@ Each replication walks the exact one-slot law from state (1, 1) using one
 uniform draw per slot (the same thresholds sample_slot uses, so a scalar
 walk with the same stream has the same secrecy ages), streamed in blocks
 of _CHUNK slots, and reduces the observation window to its exact age sum
-and the counts of ages 0..event, the largest outage event the caller will
-read. The secrecy age changes only at reset events, so each block is
-reduced over its events alone, with the age each sets held for the run to
-the next. A replication's memory is about 1.1-1.6 MB whatever its horizon
-(the more, the more of its slots are events), plus 16 B per counted age.
-Replications are aggregated into normal-approximation confidence
-intervals across replication means.
+and, for the one outage event its caller reads, the number of slots whose
+secrecy age is at most that event. The secrecy age changes only at reset
+events, so each block is reduced over its events alone, with the age each
+sets held for the run to the next. A replication's memory is about
+1.1-1.6 MB whatever its horizon and its event (the more, the more of its
+slots are events). Replications are aggregated into normal-approximation
+confidence intervals across replication means.
 
 Seeding is stateless: replication r of base seed s draws from
 SeedSequence(entropy=s, spawn_key=(r,)), so any execution order or degree
@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,10 +39,6 @@ DEFAULT_REPLICATIONS = 32
 # (p = q = 0.9, p_tx = 1) and 0.35 s where few are (p_tx = 0.05), twice that
 # under load. It must stay below 2**31 so the walk's int32 slots cannot overflow
 MAX_SLOTS = 10**8
-# largest event a replication counts ages up to: each counted age takes 16 B
-# (int64 counts and a block's float64 ones), 3.2 MB here, and at most about
-# doubles a replication's time (2 vCPUs, numpy 2.4.6); the paper's eta is single-digit
-MAX_EVENT = 2 * 10**5
 
 # slots per block of the streamed walk: its buffers and event arrays (about
 # 1.1 MB, 1.6 MB where every slot is an event) stay in cache, and one
@@ -84,22 +81,18 @@ class SimConfig:
 @dataclass(frozen=True)
 class ReplicationStats:
     """Sufficient statistics of one replication's observation window: the
-    exact sum of its secrecy ages and gap_hist[k], its slots with secrecy age
-    exactly k (0 for nonpositive gaps) for k = 0..event (none without one)."""
+    exact sum of its secrecy ages and, for the event it ran for, outage_slots,
+    its slots with secrecy age at most that event (0 for nonpositive gaps;
+    both None without an event)."""
 
     slots_observed: int
     age_sum: int
-    gap_hist: np.ndarray
+    event: Optional[int] = None
+    outage_slots: Optional[int] = None
 
     @property
     def mean_secrecy_age(self) -> float:
         return float(self.age_sum) / self.slots_observed
-
-    def outage_at(self, k: int) -> float:
-        """Observed frequency of {secrecy age <= k}, for k = 0..event."""
-        if not 0 <= k < len(self.gap_hist):
-            raise ValueError(f"event index {k} outside the counted ages 0..{len(self.gap_hist) - 1}")
-        return float(self.gap_hist[: k + 1].sum()) / self.slots_observed
 
 
 @dataclass(frozen=True)
@@ -171,16 +164,15 @@ def run_replication(
     params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int, event: int | None = None
 ) -> ReplicationStats:
     """Simulate one replication and reduce its observation window to its age
-    sum and, given an event, the counts of ages 0..event, block by block over
-    the events of _events: the age an event sets holds for the run of slots
-    up to the next, so one dot product and one bincount of the ages weighted
-    by their runs (clipped to the window) count a block."""
-    if event is not None and not 0 <= event <= MAX_EVENT:
-        raise ValueError(f"event index must be >= 0 and at most {MAX_EVENT}, got {event}")
-    cap = 0 if event is None else event + 1
-    size = min(_CHUNK, config.burn_in + config.horizon) + 1
-    run_buf, clip_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.intp)
-    age_sum, hist = 0, np.zeros(cap, dtype=np.int64)
+    sum and, given an event, its slots with secrecy age at most the event,
+    block by block over the events of _events: the age an event sets holds
+    for the run of slots up to the next, so one dot product of the ages and
+    their runs (clipped to the window) sums a block, and the runs of the
+    ages within the event count it."""
+    if event is not None and event < 0:
+        raise ValueError(f"event index must be >= 0, got {event}")
+    run_buf = np.empty(min(_CHUNK, config.burn_in + config.horizon) + 1, dtype=np.int64)
+    age_sum = outage_slots = 0
     for slots, ages in _events(params, policy, config, replication_index):
         lo = max(config.burn_in, int(slots[0]))  # the block's first observed slot
         if lo >= slots[-1]:
@@ -191,14 +183,11 @@ def run_replication(
         slots, ages = slots[k:], ages[k:]
         slots[0] = lo
         runs = np.subtract(slots[1:], slots[:-1], out=run_buf[: len(ages)])
-        # an integer dot is exact (and numpy keeps it off BLAS)
+        # integer sums are exact (and numpy keeps the dot off BLAS)
         age_sum += int(np.dot(ages, runs))
-        if cap:
-            # ages above the event share the dropped last bin; weighted counts
-            # are float64 sums of whole runs, so exact
-            clipped = np.minimum(ages, cap, out=clip_buf[: len(ages)])
-            np.add(hist, np.bincount(clipped, weights=runs, minlength=cap + 1)[:cap], out=hist, casting="unsafe")
-    return ReplicationStats(slots_observed=config.horizon, age_sum=age_sum, gap_hist=hist)
+        if event is not None:
+            outage_slots += int(runs.sum(where=ages <= event))
+    return ReplicationStats(config.horizon, age_sum, event, None if event is None else outage_slots)
 
 
 def _ci(values: Sequence[float]) -> tuple[float, Optional[float]]:
@@ -210,15 +199,20 @@ def _ci(values: Sequence[float]) -> tuple[float, Optional[float]]:
     return center, _Z95 * spread
 
 
-def aggregate(stats: Sequence[ReplicationStats], event: int | None = None) -> SimEstimate:
-    """Combine replications into across-replication CIs."""
+def aggregate(stats: Sequence[ReplicationStats]) -> SimEstimate:
+    """Combine replications into across-replication CIs, with the outage
+    frequency of the event they were all counted for (if any)."""
     if not stats:
         raise ValueError("no replications to aggregate")
+    events = {s.event for s in stats}
+    if len(events) > 1:
+        raise ValueError(f"replications counted for different events: {sorted(events, key=str)}")
+    (event,) = events
     mean, mean_hw = _ci([s.mean_secrecy_age for s in stats])
     out_prob: Optional[float] = None
     out_hw: Optional[float] = None
     if event is not None:
-        out_prob, out_hw = _ci([s.outage_at(event) for s in stats])
+        out_prob, out_hw = _ci([s.outage_slots / s.slots_observed for s in stats])
     return SimEstimate(
         mean_secrecy_age=mean,
         mean_halfwidth=mean_hw,
@@ -228,6 +222,15 @@ def aggregate(stats: Sequence[ReplicationStats], event: int | None = None) -> Si
         slots_observed=sum(s.slots_observed for s in stats),
         replications=len(stats),
     )
+
+
+def _ordered_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
+    """[fn(item) for item in items], on a pool of `workers` threads when
+    there is more than one of each; results come back in items order."""
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def estimate(
@@ -243,10 +246,5 @@ def estimate(
     Results are identical for every worker count: each replication owns a
     stateless stream and the reduction runs in replication order.
     """
-    indices = range(config.replications)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(lambda r: run_replication(params, policy, config, r, event), indices))
-    else:
-        stats = [run_replication(params, policy, config, r, event) for r in indices]
-    return aggregate(stats, event)
+    run = partial(run_replication, params, policy, config, event=event)
+    return aggregate(_ordered_map(run, range(config.replications), workers))

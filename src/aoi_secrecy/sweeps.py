@@ -15,7 +15,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Any, Callable, Optional, Sequence
@@ -37,8 +36,8 @@ from .simulate import (
     DEFAULT_BURN_IN,
     DEFAULT_HORIZON,
     DEFAULT_REPLICATIONS,
-    MAX_EVENT,
     SimConfig,
+    _ordered_map,
     estimate,
 )
 
@@ -68,6 +67,10 @@ MIN_TRUNCATION = 400
 # traced at this step); the default 64 probes at this step take about 0.8 s
 # on a 2-vCPU machine (numpy 2.4.6)
 MIN_OPTIMIZE_STEP = 1e-6
+# largest eta grid value. Past it fig2's starred p_tx = 1 / (q (eta + 1))
+# at q = 1 nears the 1e-12 rate floor (below it from 10**12 on), and past
+# float range the closed forms' q (eta + 1) and (1 - p_tx q) ** eta overflow
+MAX_ETA = 10**10
 
 # experiment -> its built-in values where they differ from the SweepSpec
 # default: grids spanning the usual plotting ranges, and compare's three
@@ -104,9 +107,9 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 @dataclass(frozen=True)
 class SweepSpec:
     """Everything one experiment run depends on. A setting the experiment
-    does not read (see SETTINGS) must keep its default, and every grid it
-    reads must be nonempty. Methods are kept in METHODS order, duplicates
-    collapsed."""
+    does not read (see SETTINGS; the simulation settings only with a
+    monte_carlo leg) must keep its default, and every grid it reads must be
+    nonempty. Methods are kept in METHODS order, duplicates collapsed."""
 
     experiment: str
     methods: tuple[str, ...] = ("closed_form",)
@@ -128,14 +131,18 @@ class SweepSpec:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         defaults = {f.name: f.default for f in fields(self)}
-        unread, empty = [], []
+        simulated = "monte_carlo" in self.methods
+        unread, idle, empty = [], [], []
         for setting in SETTINGS:
             value = getattr(self, setting.field)
-            if self.experiment not in setting.experiments:
-                if value != defaults[setting.field]:
-                    unread.append(f"{setting.flag} ([{setting.section}] {setting.key})")
-            elif setting.section == "grid" and not value:
-                empty.append(setting.field)
+            offered = self.experiment in setting.experiments
+            if offered and (simulated or setting.field not in _MONTE_CARLO_ONLY):
+                if setting.section == "grid" and not value:
+                    empty.append(setting.field)
+            elif value != defaults[setting.field]:
+                (idle if offered else unread).append(f"{setting.flag} ([{setting.section}] {setting.key})")
+        if idle:
+            unread.append(f"{', '.join(idle)} without monte_carlo")
         if unread:
             raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
         if empty:
@@ -148,11 +155,12 @@ class SweepSpec:
             raise ValueError("methods must be nonempty")
         if self.experiment == "compare" and len(self.methods) < 2:
             raise ValueError("compare needs at least two methods listed")
-        # the simulation settings pass SimConfig's checks before any leg runs
-        SimConfig(self.horizon, self.burn_in, self.replications, base_seed=self.seed)
-        # compare judges Monte Carlo by its half-widths, which need two replications
-        if self.experiment == "compare" and "monte_carlo" in self.methods and self.replications < 2:
-            raise ValueError(f"compare with monte_carlo needs replications >= 2, got {self.replications}")
+        if simulated:
+            # the simulation settings pass SimConfig's checks before any leg runs
+            SimConfig(self.horizon, self.burn_in, self.replications, base_seed=self.seed)
+            # compare judges Monte Carlo by its half-widths, which need two replications
+            if self.experiment == "compare" and self.replications < 2:
+                raise ValueError(f"compare with monte_carlo needs replications >= 2, got {self.replications}")
         # a rate is at least 1e-12 (p and q may also be 0): below that the
         # closed forms' products such as p_tx * q * (p + q - pq) underflow to 0
         grids = (("p", self.p_values, True), ("q", self.q_values, True), ("ptx", self.ptx_values, False))
@@ -174,11 +182,8 @@ class SweepSpec:
                 "optimize grid point p=0: the receiver never resets, "
                 "so the objective is 0 at every p_tx and has no argmax"
             )
-        if any(not (isinstance(e, int) and e >= 1) for e in self.eta_values):
-            raise ValueError("eta grid values must be integers >= 1")
-        if "monte_carlo" in self.methods and max(self.eta_values, default=0) > MAX_EVENT:
-            raise ValueError(f"eta grid value {max(self.eta_values)} above {MAX_EVENT}: "
-                             "a Monte Carlo replication counts every age up to it")
+        if any(not (isinstance(e, int) and 1 <= e <= MAX_ETA) for e in self.eta_values):
+            raise ValueError(f"eta grid values must be integers from 1 to {MAX_ETA}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not 0.0 < self.optimize_step <= 0.5:
@@ -247,6 +252,8 @@ class Setting:
 
 
 _WITH_LEGS = ("fig1", "fig2", "compare")  # the experiments that run method legs
+# settings that only a monte_carlo leg reads: unread where it does not run
+_MONTE_CARLO_ONLY = ("seed", "horizon", "burn_in", "replications")
 
 SETTINGS: tuple[Setting, ...] = (
     Setting("methods", "experiment", "methods", "--methods", _strs, _WITH_LEGS,
@@ -379,13 +386,6 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _ordered_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _row_seed(base: int, index: int) -> int:

@@ -60,7 +60,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 INI_TEXT = """
 [experiment]
 kind = compare
-methods = closed_form, oracle
+methods = closed_form, monte_carlo
 convention = paper
 seed = 77
 out = from_config.csv
@@ -96,7 +96,7 @@ class TestConfigLoading:
         path.write_text(INI_TEXT)
         overrides = load_config(str(path))
         assert overrides["experiment"] == "compare"
-        assert overrides["methods"] == ("closed_form", "oracle")
+        assert overrides["methods"] == ("closed_form", "monte_carlo")
         assert overrides["convention"] is OutageConvention.PAPER_PRINTED
         assert overrides["seed"] == 77
         assert overrides["out_path"] == "from_config.csv"
@@ -238,15 +238,24 @@ class TestSettingsTable:
     @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.field)
     def test_config_key_and_flag_agree(self, tmp_path, setting, fmt):
         value = SAMPLE_VALUES[setting.field]
+        entries = {setting.section: {setting.key: value}}
+        argv = [setting.flag, value]
+        # a simulation setting is read only beside a monte_carlo leg
+        if setting.field in sweeps._MONTE_CARLO_ONLY:
+            entries.setdefault("experiment", {})["methods"] = "closed_form, monte_carlo"
+            argv += ["--methods", "closed_form, monte_carlo"]
         path = tmp_path / f"one.{fmt}"
         if fmt == "ini":
-            path.write_text(f"[{setting.section}]\n{setting.key} = {value}\n")
+            path.write_text("".join(
+                f"[{section}]\n" + "".join(f"{key} = {v}\n" for key, v in body.items())
+                for section, body in entries.items()
+            ))
         else:
-            path.write_text(json.dumps({setting.section: {setting.key: value}}))
+            path.write_text(json.dumps(entries))
         # on every experiment that reads the setting
         for kind in setting.experiments:
             from_config = make_spec(kind, load_config(str(path)))
-            flags = vars(build_parser().parse_args([kind, setting.flag, value]))
+            flags = vars(build_parser().parse_args([kind, *argv]))
             del flags["experiment"], flags["config"]
             from_flag = make_spec(kind, None, **flags)
             assert from_config == from_flag
@@ -274,6 +283,27 @@ class TestSettingsTable:
         with pytest.raises(ValueError) as err:
             replace(default_spec(kind), **{setting.field: setting.parse(value)})
         assert named in str(err.value)
+
+    @pytest.mark.parametrize(
+        "kind, setting",
+        [(kind, s) for s in SETTINGS if s.field in sweeps._MONTE_CARLO_ONLY for kind in s.experiments],
+        ids=lambda v: getattr(v, "field", v),
+    )
+    def test_simulation_setting_refused_without_monte_carlo(self, no_leg_runs, tmp_path, capsys, kind, setting):
+        # the subcommand offers the flag, but only a monte_carlo leg reads
+        # it: it is refused as unread, before checks that only Monte Carlo
+        # needs (each value but the seed would fail one of them if read)
+        methods = "closed_form,oracle" if kind == "compare" else "closed_form"
+        value = {"seed": "0x2a", "horizon": "1", "burn_in": "2000000", "replications": "1"}[setting.field]
+        named = f"error: {kind} does not read {setting.flag} ([{setting.section}] {setting.key}) without monte_carlo"
+        path = tmp_path / "one.ini"
+        path.write_text(f"[{setting.section}]\n{setting.key} = {value}\n")
+        for argv in ([kind, "--methods", methods, setting.flag, value],
+                     [kind, "--methods", methods, "--config", str(path)]):
+            assert main(argv) == 2
+            assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [named]
+        with pytest.raises(ValueError, match="without monte_carlo"):
+            replace(default_spec(kind), methods=tuple(methods.split(",")), **{setting.field: setting.parse(value)})
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--methods", "monte_carlo", "--ptx", "0.3", "--workers", "9", "--seed", "5",
@@ -323,8 +353,9 @@ class TestSpecValidation:
             SweepSpec(experiment="compare", methods=("closed_form",), **grids)
         with pytest.raises(ValueError, match="nonempty"):
             SweepSpec(experiment="fig1", methods=(), q_values=(0.2,), ptx_values=(0.5,), ratio_values=(1,))
-        # one replication is enough where no Monte Carlo half-width is judged
-        SweepSpec(experiment="compare", methods=("closed_form", "oracle"), replications=1, **grids)
+        # without a monte_carlo leg no simulation setting is read
+        with pytest.raises(ValueError, match=r"compare does not read --replications \(\[sim\] replications\) without"):
+            SweepSpec(experiment="compare", methods=("closed_form", "oracle"), replications=1, **grids)
 
     def test_grid_ranges(self):
         with pytest.raises(ValueError):
@@ -339,14 +370,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(experiment="compare", methods=base.methods, p_values=(0.8,),
                       q_values=(0.2,), ptx_values=(0.5,), eta_values=(0,))
-        # a Monte Carlo replication keeps one count per age up to eta; the
-        # other routes take any eta
+        # every route takes eta up to MAX_ETA, Monte Carlo included
         grids = dict(p_values=(0.8,), q_values=(0.2,), ptx_values=(0.5,))
-        SweepSpec(experiment="compare", methods=base.methods, eta_values=(sweeps.MAX_EVENT,), **grids)
-        SweepSpec(experiment="compare", methods=("closed_form", "oracle"), eta_values=(10**9,), **grids)
-        with pytest.raises(ValueError, match="a Monte Carlo replication counts every age up to it"):
-            SweepSpec(experiment="fig2", methods=("monte_carlo",), eta_values=(sweeps.MAX_EVENT + 1,),
-                      **grids)
+        SweepSpec(experiment="compare", methods=base.methods, eta_values=(10**9, sweeps.MAX_ETA), **grids)
+        assert 10**9 <= sweeps.MAX_ETA < 10**12
+        for methods in (("monte_carlo",), ("closed_form",)):
+            with pytest.raises(ValueError, match=f"eta grid values must be integers from 1 to {sweeps.MAX_ETA}"):
+                SweepSpec(experiment="fig2", methods=methods, eta_values=(5, sweeps.MAX_ETA + 1), **grids)
 
     def test_required_grids_per_experiment(self):
         with pytest.raises(ValueError, match="ratio_values"):
@@ -467,11 +497,8 @@ class TestFig2Command:
 
 
 class TestCompareCommand:
-    COMMON = [
-        "--p", "0.8", "--q", "0.2", "--ptx", "0.5,1.0", "--eta", "5",
-        "--horizon", "20000", "--burn-in", "500", "--replications", "4",
-        "--seed", "3",
-    ]
+    GRID = ["--p", "0.8", "--q", "0.2", "--ptx", "0.5,1.0", "--eta", "5"]
+    COMMON = GRID + ["--horizon", "20000", "--burn-in", "500", "--replications", "4", "--seed", "3"]
 
     def test_strict_run_passes(self, tmp_path, capsys):
         out = tmp_path / "compare.csv"
@@ -501,7 +528,7 @@ class TestCompareCommand:
     def test_without_monte_carlo_no_coverage_columns(self, tmp_path):
         out = tmp_path / "compare_two.csv"
         code = main([
-            "compare", "--out", str(out), "--methods", "closed_form,oracle", *self.COMMON,
+            "compare", "--out", str(out), "--methods", "closed_form,oracle", *self.GRID,
         ])
         assert code == 0
         for row in read_csv(out):
@@ -707,13 +734,26 @@ class TestErrorPaths:
         # one replication's time is bounded by the slot bound, checked
         # before any leg runs
         ("--horizon", "1000000000", "burn_in + horizon = 1000001000 slots exceeds the per-replication bound 100000000"),
-        # each replication in flight keeps one count per age up to eta
-        ("--eta", "5,200001", "eta grid value 200001 above 200000: a Monte Carlo replication counts every age up to it"),
     ])
     def test_bad_simulation_setting_rejected_before_any_leg(self, no_leg_runs, capsys, flag, value, message):
         code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["fig2", "optimize", "compare"])
+    def test_huge_eta_refused_before_any_work(self, no_leg_runs, monkeypatch, capsys, kind):
+        # the closed forms overflow on an eta past float range, and fig2's
+        # starred p_tx nears the rate floor long before: above MAX_ETA an
+        # eta is refused up front
+        monkeypatch.setattr(sweeps, "optimal_ptx", lambda *a: pytest.fail("optimal_ptx ran"))
+        monkeypatch.setattr(sweeps, "objective_curve", lambda *a: pytest.fail("the objective ran"))
+        for eta in (str(10**400), str(sweeps.MAX_ETA + 1)):
+            assert main([kind, "--eta", f"5,{eta}"]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"error: eta grid values must be integers from 1 to {sweeps.MAX_ETA}"
+            ]
 
     @pytest.mark.parametrize("argv, where", [
         # the q=0 points of fig1 come after Monte Carlo work on the q=0.2 ones
@@ -771,7 +811,7 @@ class TestErrorPaths:
 
 
 # what a generated run sets a setting to: valid text, edge values or junk
-EDGE_TEXT = ("0", "1", "1e-12", "nan", "inf", "-1", str(2**70), "", "0x10", "010")
+EDGE_TEXT = ("0", "1", "1e-12", "nan", "inf", "-1", str(2**70), str(10**400), "", "0x10", "010")
 JUNK_TEXT = ("abc", "%", "1,,2")
 VALID_TEXT = {
     "methods": st.sampled_from(METHODS),
@@ -792,8 +832,8 @@ VALID_TEXT = {
 
 def _entry(field):
     other = EDGE_TEXT + JUNK_TEXT
-    if field == "workers":  # at most 4 pool threads: no 0x10 or 2**70 workers
-        other = tuple(t for t in other if t not in ("0x10", str(2**70)))
+    if field == "workers":  # at most 4 pool threads: no 0x10, 2**70 or 10**400 workers
+        other = tuple(t for t in other if t not in ("0x10", str(2**70), str(10**400)))
     return st.one_of(VALID_TEXT[field], st.sampled_from(other))
 
 
@@ -826,6 +866,8 @@ def _json_value(entry):
 @given(run=_runs())
 # a % in an INI file is read as text, not as the start of an interpolation
 @example(run=("fig2", "ini", [(next(s for s in SETTINGS if s.field == "q_values"), ["%"], True, "config")]))
+# an eta past float range is refused, not overflowed in the closed forms
+@example(run=("fig2", "ini", [(next(s for s in SETTINGS if s.field == "eta_values"), [str(10**400)], True, "flag")]))
 def test_generated_input_refused_before_any_work(tmp_path, monkeypatch, run):
     # exit 2 means nothing ran and one error line says why; a run that goes
     # ahead evaluates only points where some side resets, within the

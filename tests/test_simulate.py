@@ -1,6 +1,7 @@
-"""Monte Carlo engine: pinned histogram digests, exactness on degenerate
-chains, bit-level determinism, invariance to the block size,
-agreement with the scalar walk, and statistical agreement with closed forms.
+"""Monte Carlo engine: pinned histogram digests of the walk and the
+replication's counts against them, exactness on degenerate chains,
+bit-level determinism, invariance to the block size, agreement with the
+scalar walk, and statistical agreement with closed forms.
 
 Statistical assertions use pinned seeds and tolerances set from the normal
 approximation, wide enough to be stable but tight enough to catch a broken
@@ -31,7 +32,6 @@ from aoi_secrecy.model import (
     secrecy_age,
 )
 from aoi_secrecy.simulate import (
-    MAX_EVENT,
     MAX_SLOTS,
     SimConfig,
     _events,
@@ -72,6 +72,13 @@ def scalar_window_ages(params, policy, config, replication_index):
     return observed
 
 
+def window_hist(params, policy, config, replication_index):
+    """hist[k]: the observation window's slots with secrecy age k, for
+    k = 0..burn_in + horizon - 1 (the largest age a window can hold)."""
+    window = trajectory(params, policy, config, replication_index)[config.burn_in :]
+    return np.bincount(window, minlength=config.burn_in + config.horizon)
+
+
 @pytest.fixture(scope="module")
 def pinned_run():
     config = SimConfig(
@@ -80,21 +87,22 @@ def pinned_run():
         replications=8,
         base_seed=PINNED_SEED,
     )
-    stats = [run_replication(P, ALWAYS, config, r, event=15) for r in range(config.replications)]
+    stats = [run_replication(P, ALWAYS, config, r, event=5) for r in range(config.replications)]
     return config, stats
 
 
-# sha256 (first 16 hex digits) of the dtype string and bytes of the gap_hist
-# of run_replication(ChannelParams(p, q), Policy(p_tx), SimConfig(horizon,
-# burn_in, base_seed=77), 3, event), run for the largest age a window can
-# hold (event = burn_in + horizon - 1) with its trailing zeros trimmed, so
-# that it ends at the largest gap seen, keyed (point, burn_in, horizon). The strata:
+# sha256 (first 16 hex digits) of the dtype string and bytes of the int64
+# window_hist of replication 3 of ChannelParams(p, q), Policy(p_tx),
+# SimConfig(horizon, burn_in, base_seed=77), with its trailing zeros trimmed
+# so that it ends at the largest gap seen, keyed (point, burn_in, horizon).
+# The strata:
 # p, q in {0, 1} at p_tx = 1, a sparse (p_tx 0.05), a medium (p_tx 0.5) and
 # a dense (p_tx 1) interior point, a receiver-only-heavy one (receiver-only
 # probability 0.81) and an interior q = 0 one, whose gap grows without bound;
 # burn-in 0, inside the first 2**15-slot block and past it;
 # horizons below, equal to and not a multiple of 2**15 slots. Any rewrite of
-# the replication kernel must keep every histogram, dtype included.
+# the walk must keep every histogram, and the replication's age sum and
+# counts are checked against it.
 GOLDEN_POINTS = {
     "p0q0": (0.0, 0.0, 1.0),
     "p0q1": (0.0, 1.0, 1.0),
@@ -179,14 +187,20 @@ def hist_digest(hist: np.ndarray) -> str:
 
 @pytest.mark.parametrize("name, burn_in, horizon", sorted(GAP_HIST_DIGESTS), ids=str)
 def test_gap_hist_golden(name, burn_in, horizon):
-    p, q, p_tx = GOLDEN_POINTS[name]
+    params, policy = ChannelParams(*GOLDEN_POINTS[name][:2]), Policy(GOLDEN_POINTS[name][2])
     config = SimConfig(horizon=horizon, burn_in=burn_in, base_seed=77)
-    stats = run_replication(ChannelParams(p, q), Policy(p_tx), config, 3, event=burn_in + horizon - 1)
-    assert len(stats.gap_hist) == burn_in + horizon
-    assert stats.gap_hist.sum() == horizon
-    trimmed = np.trim_zeros(stats.gap_hist, "b")
-    assert stats.age_sum == np.arange(len(trimmed)) @ trimmed
+    hist = window_hist(params, policy, config, 3)
+    assert hist.dtype == np.int64
+    assert len(hist) == burn_in + horizon
+    assert hist.sum() == horizon
+    trimmed = np.trim_zeros(hist, "b")
     assert hist_digest(trimmed) == GAP_HIST_DIGESTS[name, burn_in, horizon]
+    # the replication's exact age sum, and its counts at event 0, halfway to
+    # the largest gap seen and at the largest age a window can hold
+    for event in (0, len(trimmed) // 2, burn_in + horizon - 1):
+        stats = run_replication(params, policy, config, 3, event=event)
+        assert stats.age_sum == np.arange(len(hist)) @ hist
+        assert (stats.event, stats.outage_slots) == (event, hist[: event + 1].sum())
 
 
 class TestSimConfig:
@@ -215,21 +229,21 @@ class TestSimConfig:
             SimConfig(horizon=2**62)
 
     def test_replication_memory_flat_in_horizon(self, traced_peak):
-        # a replication streams through fixed-size blocks and keeps event + 1
-        # counts: its traced peak (about 1.3 MB at (0.8, 0.2, 0.5), 1.6 MB at
+        # a replication streams through fixed-size blocks and keeps one
+        # count: its traced peak (about 1.3 MB at (0.8, 0.2, 0.5), 1.6 MB at
         # (0.9, 0.9, 1.0), where nearly every slot is an event and a block's
         # event arrays are full-sized) does not grow with the horizon, also
-        # where the gap grows without bound (q = 0) or nearly so (q = 1e-6)
+        # where the gap grows without bound (q = 0) or nearly so (q = 1e-6),
+        # nor with the event
         cases = [(P, HALF, (10**5, 10**6), 10), (ChannelParams(0.9, 0.9), ALWAYS, (10**5, 10**6), 10)]
         cases += [(ChannelParams(0.5, q), ALWAYS, (10**6, 4 * 10**6), 10) for q in (0.0, 1e-6)]
-        # the counts add 16 B per counted age, up to the largest event
-        cases += [(ChannelParams(0.5, 0.0), ALWAYS, (10**6,), MAX_EVENT)]
+        cases += [(ChannelParams(0.5, 0.0), ALWAYS, (10**6,), 10**12)]
         for params, policy, horizons, event in cases:
             for horizon in horizons:
                 config = SimConfig(horizon=horizon, burn_in=10**3, base_seed=4)
                 run_replication(params, policy, config, 0, event=event)
                 _, peak = traced_peak(lambda: run_replication(params, policy, config, 0, event=event))
-                assert peak <= 2 * 2**20 + 16 * (event + 1), (params, policy, horizon, event)
+                assert peak <= 2 * 2**20, (params, policy, horizon, event)
 
 
 class TestDegenerateChains:
@@ -271,10 +285,10 @@ class TestDeterminism:
 
     def test_replications_use_distinct_streams(self):
         config = SimConfig(horizon=10_000, burn_in=0, replications=2, base_seed=5)
-        a = run_replication(P, HALF, config, 0, event=50)
-        b = run_replication(P, HALF, config, 1, event=50)
+        a = run_replication(P, HALF, config, 0, event=3)
+        b = run_replication(P, HALF, config, 1, event=3)
         assert a.age_sum != b.age_sum
-        assert not np.array_equal(a.gap_hist, b.gap_hist)
+        assert a.outage_slots != b.outage_slots
 
     def test_matches_scalar_walk_slot_by_slot(self):
         # the events of the vectorized walk and a scalar sample_slot walk
@@ -295,12 +309,11 @@ class TestDeterminism:
             if t >= config.burn_in:
                 observed.append(secrecy_age(state))
         # the replication's age sum and counts are those of the scalar
-        # walk's window, the counts up to an event below and above its
-        # largest age
-        for cap in (4, 400):
-            stats = run_replication(params, policy, config, rep, event=cap - 1)
+        # walk's window, at events below and above its largest age
+        for event in (0, 3, 399):
+            stats = run_replication(params, policy, config, rep, event=event)
             assert stats.age_sum == sum(observed)
-            assert np.array_equal(stats.gap_hist, np.bincount(observed, minlength=cap)[:cap])
+            assert stats.outage_slots == sum(age <= event for age in observed)
 
     def test_matches_scalar_walk_across_blocks(self, monkeypatch):
         # the same 350 states when the walk is cut into blocks of 7 slots
@@ -321,13 +334,14 @@ class TestDeterminism:
     @pytest.mark.parametrize("burn_in", [0, 6, 7, 8, 13, 14, 15])
     def test_block_size_invisible(self, monkeypatch, params, policy, chunk, burn_in):
         config = SimConfig(horizon=1_003, burn_in=burn_in, base_seed=8)
-        observed = scalar_window_ages(params, policy, config, 1)
-        cap = config.burn_in + config.horizon
+        observed = np.array(scalar_window_ages(params, policy, config, 1))
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        got = run_replication(params, policy, config, 1, event=cap - 1)
-        assert got.age_sum == sum(observed)
-        assert got.gap_hist.dtype == np.int64
-        assert np.array_equal(got.gap_hist, np.bincount(observed, minlength=cap)[:cap])
+        # events drawn across the window's ages, and the largest it can hold
+        events = np.random.default_rng(burn_in).integers(0, max(observed) + 2, size=3).tolist()
+        for event in events + [config.burn_in + config.horizon - 1]:
+            got = run_replication(params, policy, config, 1, event=event)
+            assert got.age_sum == observed.sum()
+            assert got.outage_slots == np.count_nonzero(observed <= event)
 
     @given(
         p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
@@ -336,38 +350,39 @@ class TestDeterminism:
         horizon=st.integers(1, 400),
         burn_frac=st.floats(0.0, 1.0, exclude_max=True),
         chunk=st.sampled_from([1, 7, 64]),
+        event=st.integers(0, 10) | st.integers(0, 800),
     )
     # event probabilities c3 = 0.72 and 0.99 (nearly every slot an event),
     # and a point where the age grows without bound
-    @example(p=0.6, q=0.3, p_tx=1.0, horizon=400, burn_frac=0.3, chunk=7)
-    @example(p=0.9, q=0.9, p_tx=1.0, horizon=400, burn_frac=0.3, chunk=7)
-    @example(p=0.5, q=0.0, p_tx=1.0, horizon=400, burn_frac=0.0, chunk=64)
+    @example(p=0.6, q=0.3, p_tx=1.0, horizon=400, burn_frac=0.3, chunk=7, event=7)
+    @example(p=0.9, q=0.9, p_tx=1.0, horizon=400, burn_frac=0.3, chunk=7, event=7)
+    @example(p=0.5, q=0.0, p_tx=1.0, horizon=400, burn_frac=0.0, chunk=64, event=7)
     @settings(max_examples=150, deadline=None)
-    def test_matches_scalar_walk_histogram(self, p, q, p_tx, horizon, burn_frac, chunk):
+    def test_matches_scalar_walk_histogram(self, p, q, p_tx, horizon, burn_frac, chunk, event):
         params, policy = ChannelParams(p, q), Policy(p_tx)
         config = SimConfig(horizon=horizon, burn_in=int(burn_frac * horizon), base_seed=21)
         observed = scalar_window_ages(params, policy, config, 0)
-        # counts up to an event inside the window's ages and past them all
-        for cap in (8, config.burn_in + horizon):
+        # the count at the drawn event and at the largest age a window can hold
+        for k in (event, config.burn_in + horizon - 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(simulate, "_CHUNK", chunk)
-                got = run_replication(params, policy, config, 0, event=cap - 1)
+                got = run_replication(params, policy, config, 0, event=k)
             assert got.age_sum == sum(observed)
-            assert got.gap_hist.dtype == np.int64
-            assert np.array_equal(got.gap_hist, np.bincount(observed, minlength=cap)[:cap])
+            assert got.outage_slots == sum(age <= k for age in observed)
 
 
 class TestStatisticalAgreement:
     def test_mean_within_interval_of_closed_form(self, pinned_run):
         _, stats = pinned_run
-        est = aggregate(stats, event=5)
+        est = aggregate(stats)
         closed = average_secrecy_age(P, ALWAYS)
         # 3 standard errors = (3 / 1.96) * halfwidth
         assert abs(est.mean_secrecy_age - closed) <= 1.6 * est.mean_halfwidth
 
     def test_outage_within_interval_of_strict_form(self, pinned_run):
         _, stats = pinned_run
-        est = aggregate(stats, event=5)
+        est = aggregate(stats)
+        assert est.outage_event == 5
         closed = outage_probability(P, ALWAYS, SecrecyThreshold(5), OutageConvention.STRICT_DEFINITION)
         assert abs(est.outage_estimate - closed) <= 1.6 * est.outage_halfwidth
 
@@ -388,9 +403,9 @@ class TestStatisticalAgreement:
             assert abs(hits / total - target) < 4.0 * sigma
 
     def test_empirical_gap_pmf_tracks_closed_pmf(self, pinned_run):
-        _, stats = pinned_run
+        config, stats = pinned_run
         total = sum(s.slots_observed for s in stats)
-        pooled = sum(s.gap_hist for s in stats)
+        pooled = sum(window_hist(P, ALWAYS, config, r) for r in range(config.replications))
         for d in range(1, 16):
             target = secrecy_gap_pmf(d, P, ALWAYS)
             sigma = (target * (1 - target) / total) ** 0.5
@@ -435,42 +450,44 @@ class TestAggregation:
             aggregate([])
 
     def test_negative_event_rejected(self):
-        stats = run_replication(P, HALF, SimConfig(horizon=100, burn_in=0, base_seed=0), 0, event=5)
-        with pytest.raises(ValueError):
-            stats.outage_at(-1)
+        config = SimConfig(horizon=100, burn_in=0, replications=2, base_seed=0)
+        for event in (-1, -(10**12)):
+            with pytest.raises(ValueError, match=f"event index must be >= 0, got {event}"):
+                run_replication(P, HALF, config, 0, event=event)
+            with pytest.raises(ValueError, match=f"event index must be >= 0, got {event}"):
+                estimate(P, HALF, config, event=event)
 
     def test_event_out_of_range_refused_before_any_work(self, monkeypatch):
+        # with no upper bound on the event, only a negative one is out of
+        # range; it is refused by a replication and by estimate before the walk
         monkeypatch.setattr(simulate, "_events", lambda *a: pytest.fail("the walk ran"))
         config = SimConfig(horizon=100, burn_in=0, replications=3, base_seed=0)
-        # a negative event, and one past the counts a replication may keep
-        for event in (-1, MAX_EVENT + 1):
-            with pytest.raises(ValueError, match="event index must be >= 0"):
-                run_replication(P, HALF, config, 0, event=event)
-            for workers in (1, 2):
-                with pytest.raises(ValueError, match=f"at most {MAX_EVENT}, got {event}"):
-                    estimate(P, HALF, config, event=event, workers=workers)
+        with pytest.raises(ValueError, match="event index must be >= 0, got -1"):
+            run_replication(P, HALF, config, 0, event=-1)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="event index must be >= 0, got -1"):
+                estimate(P, HALF, config, event=-1, workers=workers)
 
-    def test_reads_past_the_event_refused(self):
-        # the counts stop at the event a replication ran for: a read past it
-        # is refused, not guessed from missing counts
+    def test_mixed_events_refused(self):
+        # aggregate reads the event the replications were counted for, and
+        # refuses replications counted for different ones
         config = SimConfig(horizon=2_000, burn_in=0, replications=2, base_seed=1)
-        stats = [run_replication(P, HALF, config, r, event=5) for r in range(2)]
-        assert len(stats[0].gap_hist) == 6
-        assert stats[0].outage_at(5) < 1.0
-        with pytest.raises(ValueError, match="outside the counted ages 0..5"):
-            stats[0].outage_at(6)
-        assert aggregate(stats, event=5).outage_estimate < 1.0
-        with pytest.raises(ValueError):
-            aggregate(stats, event=6)
+        five = [run_replication(P, HALF, config, r, event=5) for r in range(2)]
+        assert aggregate(five).outage_event == 5
+        assert aggregate(five).outage_estimate < 1.0
+        for other in (6, None):
+            with pytest.raises(ValueError, match="replications counted for different events"):
+                aggregate([five[0], run_replication(P, HALF, config, 1, event=other)])
+        # an event past every age the window holds counts every slot
+        far = estimate(P, HALF, config, event=10**12)
+        assert (far.outage_event, far.outage_estimate, far.outage_halfwidth) == (10**12, 1.0, 0.0)
 
     def test_mean_only_run_keeps_no_counts(self):
         config = SimConfig(horizon=2_000, burn_in=100, replications=2, base_seed=1)
         for r in range(2):
             bare = run_replication(P, HALF, config, r)
             counted = run_replication(P, HALF, config, r, event=5)
-            assert len(bare.gap_hist) == 0
+            assert (bare.event, bare.outage_slots) == (None, None)
             assert bare.age_sum == counted.age_sum
             assert bare.mean_secrecy_age == counted.mean_secrecy_age
-            with pytest.raises(ValueError):
-                bare.outage_at(0)
         assert estimate(P, HALF, config).mean_secrecy_age == estimate(P, HALF, config, event=5).mean_secrecy_age
