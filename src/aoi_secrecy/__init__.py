@@ -9,19 +9,14 @@ sweep/CLI layer that cross-validates them and reproduces the standard curves.
 from .analytics import (
     DEFAULT_CONVENTION,
     OutageConvention,
-    StationaryQuery,
     average_secrecy_age,
-    col_sum,
     closed_form_report,
     objective,
     objective_curve,
     optimal_ptx,
     outage_probability,
-    positive_gap_mass,
-    row_sum,
     secrecy_gap_pmf,
     stationary_block,
-    stationary_pi,
 )
 from .model import (
     AgeState,
@@ -72,7 +67,6 @@ __all__ = [
     "SecrecyThreshold",
     "SimConfig",
     "SimEstimate",
-    "StationaryQuery",
     "SteadyState",
     "SweepSpec",
     "TruncatedChain",
@@ -80,7 +74,6 @@ __all__ = [
     "average_secrecy_age",
     "build_truncated_chain",
     "closed_form_report",
-    "col_sum",
     "default_spec",
     "estimate",
     "make_spec",
@@ -89,8 +82,6 @@ __all__ = [
     "optimal_ptx",
     "oracle_metrics",
     "outage_probability",
-    "positive_gap_mass",
-    "row_sum",
     "run_compare",
     "run_fig1_sweep",
     "run_fig2_sweep",
@@ -100,7 +91,6 @@ __all__ = [
     "secrecy_age",
     "secrecy_gap_pmf",
     "stationary_block",
-    "stationary_pi",
     "steady_state",
     "transition_distribution",
     "truncation_for_mean_tol",

@@ -10,7 +10,6 @@ objective p_tx * (1 - P_out).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,58 +33,19 @@ class OutageConvention(Enum):
 DEFAULT_CONVENTION = OutageConvention.STRICT_DEFINITION
 
 
-@dataclass(frozen=True)
-class StationaryQuery:
-    """Index pair (i, j) of a joint stationary probability."""
-
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.i, int) and self.i >= 1):
-            raise ValueError(f"i must be an integer >= 1, got {self.i!r}")
-        if not (isinstance(self.j, int) and self.j >= 1):
-            raise ValueError(f"j must be an integer >= 1, got {self.j!r}")
-
-
-def _rates(params: ChannelParams, policy: Policy) -> tuple[float, float, float]:
-    """Per-slot reset rates of the two ages and the no-reset probability."""
-    ptx = policy.p_tx
-    rate_d = ptx * params.p
-    rate_e = ptx * params.q
-    stay = ptx * (1.0 - params.p) * (1.0 - params.q) + 1.0 - ptx
-    return rate_d, rate_e, stay
-
-
-def stationary_pi(query: StationaryQuery, params: ChannelParams, policy: Policy) -> float:
-    """Joint stationary probability of the age pair (i, j).
+def stationary_block(params: ChannelParams, policy: Policy, n: int) -> np.ndarray:
+    """Joint stationary law of the age pair over 1 <= i, j <= n:
+    block[i-1, j-1] = Pr(delta_d = i, delta_e = j).
 
     Three cases by the sign of i - j; the younger coordinate pins the slot of
     the most recent reset on its side, the excess on the other side decays
     geometrically in that side's survival probability.
     """
-    i, j = query.i, query.j
-    p, q, ptx = params.p, params.q, policy.p_tx
-    rate_d, rate_e, stay = _rates(params, policy)
-    if i == j:
-        return ptx * p * q * stay ** (i - 1)
-    if i > j:
-        head = rate_d * ptx * (1.0 - p) * q
-        return head * (1.0 - rate_d) ** (i - j - 1) * stay ** (j - 1)
-    head = rate_e * ptx * (1.0 - q) * p
-    return head * (1.0 - rate_e) ** (j - i - 1) * stay ** (i - 1)
-
-
-def stationary_block(params: ChannelParams, policy: Policy, n: int) -> np.ndarray:
-    """Dense (n, n) array of stationary_pi over 1 <= i, j <= n.
-
-    Vectorized evaluation of the same three-case formula; block[i-1, j-1]
-    equals stationary_pi(StationaryQuery(i, j), ...) up to rounding.
-    """
     if n < 1:
         raise ValueError("n must be >= 1")
     p, q, ptx = params.p, params.q, policy.p_tx
-    rate_d, rate_e, stay = _rates(params, policy)
+    rate_d, rate_e = ptx * p, ptx * q
+    stay = ptx * (1.0 - p) * (1.0 - q) + 1.0 - ptx  # no reset in a slot
     idx = np.arange(n)
     gap = idx[None, :] - idx[:, None]  # j - i
     stay_pow = np.power(stay, np.minimum(idx[:, None], idx[None, :]))
@@ -101,22 +61,6 @@ def stationary_block(params: ChannelParams, policy: Policy, n: int) -> np.ndarra
     return block
 
 
-def row_sum(i: int, params: ChannelParams, policy: Policy) -> float:
-    """Marginal Pr(delta_d = i): geometric with the legitimate reset rate."""
-    if not (isinstance(i, int) and i >= 1):
-        raise ValueError(f"i must be an integer >= 1, got {i!r}")
-    rate_d = policy.p_tx * params.p
-    return rate_d * (1.0 - rate_d) ** (i - 1)
-
-
-def col_sum(j: int, params: ChannelParams, policy: Policy) -> float:
-    """Marginal Pr(delta_e = j): geometric with the eavesdropper reset rate."""
-    if not (isinstance(j, int) and j >= 1):
-        raise ValueError(f"j must be an integer >= 1, got {j!r}")
-    rate_e = policy.p_tx * params.q
-    return rate_e * (1.0 - rate_e) ** (j - 1)
-
-
 def _gap_denominator(params: ChannelParams) -> float:
     # p + q - pq, the probability that a transmitted slot resets at least one age
     # divided by p_tx; zero only when both links are dead.
@@ -129,20 +73,15 @@ def _gap_denominator(params: ChannelParams) -> float:
 def secrecy_gap_pmf(d: int, params: ChannelParams, policy: Policy) -> float:
     """Stationary Pr(delta_e - delta_d = d) for d >= 1.
 
-    Geometric in d with ratio (1 - p_tx q). The mass at gaps <= 0 is the
-    complement of positive_gap_mass.
+    Geometric in d with ratio (1 - p_tx q); summed over d >= 1 it is
+    Pr(delta_e > delta_d) = p(1-q)/(p+q-pq), and the mass at gaps <= 0 is
+    the complement.
     """
     if not (isinstance(d, int) and d >= 1):
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     denom = _gap_denominator(params)
     p, q, ptx = params.p, params.q, policy.p_tx
     return ptx * q * p * (1.0 - q) * (1.0 - ptx * q) ** (d - 1) / denom
-
-
-def positive_gap_mass(params: ChannelParams, policy: Policy) -> float:
-    """Stationary Pr(delta_e > delta_d) = p(1-q)/(p+q-pq); p_tx cancels."""
-    denom = _gap_denominator(params)
-    return params.p * (1.0 - params.q) / denom
 
 
 def average_secrecy_age(params: ChannelParams, policy: Policy) -> float:

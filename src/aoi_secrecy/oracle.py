@@ -15,7 +15,8 @@ reused buffer: the L1 residual is summed block by block and reported, and
 one above tol raises. A solve holds one N^2 array, the law itself.
 gap_pmf_array reads the gap law off the solved law's superdiagonals in one
 masked reduce over a strided view, each diagonal summed in the order
-numpy's trace uses.
+numpy's trace uses; its masks are views of one 2N-1 entry vector, so the
+metrics add no N^2 array to the held law.
 
 Transition entries come from model.transition_distribution; none of the
 closed forms in analytics.py are consulted here, so agreement between the
@@ -70,14 +71,6 @@ class TruncatedChain:
     @property
     def reset_rate_e(self) -> float:
         return self.p_both + self.p_only_e
-
-    def stationary_tail_bounds(self) -> tuple[float, float]:
-        """Exact stationary clamp masses (Pr(delta_d >= N), Pr(delta_e >= N))."""
-        n = self.truncation
-        return (
-            (1.0 - self.reset_rate_d) ** (n - 1),
-            (1.0 - self.reset_rate_e) ** (n - 1),
-        )
 
     def apply(self, dist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One application of the transition operator: out = dist @ T.
@@ -288,14 +281,19 @@ def gap_pmf_array(state: SteadyState) -> np.ndarray:
     N+1 entries, so its first N-d entries are the superdiagonal d, read
     with the stride and in the order that numpy's trace at offset d reads
     it; the masked reduce sums just that prefix of every row in one call.
+    Both masks are windows onto N trues followed by N-1 falses: window[k]
+    holds its first N-k entries true, so the windows in reverse order are
+    the lower triangle and windows 1..N-1 are the prefixes, and neither
+    mask is an N^2 array.
     """
     pi = state.pi
     n = state.chain.truncation
     pmf = np.empty(n)
-    lower = np.tri(n, dtype=bool)
-    pmf[0] = np.add.reduce(pi, axis=None, where=lower)  # gap <= 0, diagonal included
+    edge = np.arange(2 * n - 1) < n
+    window = np.lib.stride_tricks.sliding_window_view(edge, n)
+    pmf[0] = np.add.reduce(pi, axis=None, where=window[::-1])  # gap <= 0, diagonal included
     diagonals = pi.reshape(-1)[: n * n - 1].reshape(n - 1, n + 1).T[1:n]
-    prefix = lower[::-1][1:, :-1]  # row d-1 keeps its first N-d entries
+    prefix = window[1:, :-1]  # row d-1 keeps its first N-d entries
     np.add.reduce(diagonals, axis=1, where=prefix, out=pmf[1:])
     return pmf
 

@@ -3,7 +3,9 @@
 Frozen reference numbers were produced by independent routes before the
 closed forms were written down: direct enumeration of the one-slot law for
 the stationary recursion, and partial summation of the gap pmf for the
-moments. The closed forms must keep reproducing them exactly.
+moments. The closed forms must keep reproducing them exactly. The scalar
+references they are also checked against (one stationary entry, the two
+marginals, the positive gap mass) live in reference.py.
 """
 
 import math
@@ -16,22 +18,19 @@ from hypothesis import strategies as st
 from aoi_secrecy.analytics import (
     DEFAULT_CONVENTION,
     OutageConvention,
-    StationaryQuery,
     average_secrecy_age,
     closed_form_report,
-    col_sum,
     objective,
     objective_curve,
     optimal_ptx,
     outage_event,
     outage_probability,
-    positive_gap_mass,
-    row_sum,
     secrecy_gap_pmf,
     stationary_block,
-    stationary_pi,
 )
 from aoi_secrecy.model import ChannelParams, Policy, SecrecyThreshold
+
+from reference import col_sum, positive_gap_mass, row_sum, stationary_pi
 
 P = ChannelParams(0.8, 0.2)
 HALF = Policy(0.5)
@@ -51,15 +50,15 @@ GRID_TOL = 1e-15
 
 class TestStationaryPi:
     def test_frozen_values(self):
-        assert stationary_pi(StationaryQuery(1, 1), P, HALF) == pytest.approx(0.08, abs=1e-15)
-        assert stationary_pi(StationaryQuery(2, 2), P, HALF) == pytest.approx(0.0464, abs=1e-15)
+        assert stationary_pi(1, 1, P, HALF) == pytest.approx(0.08, abs=1e-15)
+        assert stationary_pi(2, 2, P, HALF) == pytest.approx(0.0464, abs=1e-15)
 
     def test_detailed_balance_along_diagonal(self):
         # pi(i+1, j+1) = pi(i, j) * beta, the no-reset slot probability
         beta = 0.5 * 0.2 * 0.8 + 0.5
         for i, j in [(1, 1), (1, 4), (6, 2), (10, 10), (40, 3)]:
-            lhs = stationary_pi(StationaryQuery(i + 1, j + 1), P, HALF)
-            rhs = stationary_pi(StationaryQuery(i, j), P, HALF) * beta
+            lhs = stationary_pi(i + 1, j + 1, P, HALF)
+            rhs = stationary_pi(i, j, P, HALF) * beta
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_row_and_column_sums_close_telescopes(self):
@@ -77,7 +76,7 @@ class TestStationaryPi:
         for i in range(1, 13):
             for j in range(1, 13):
                 assert block[i - 1, j - 1] == pytest.approx(
-                    stationary_pi(StationaryQuery(i, j), P, HALF), rel=1e-13, abs=1e-300
+                    stationary_pi(i, j, P, HALF), rel=1e-13, abs=1e-300
                 )
 
     @given(p=probs, q=probs, ptx=tx_probs)
@@ -88,7 +87,7 @@ class TestStationaryPi:
         for i in range(1, 8):
             for j in range(1, 8):
                 assert block[i - 1, j - 1] == pytest.approx(
-                    stationary_pi(StationaryQuery(i, j), params, policy), rel=1e-12, abs=1e-300
+                    stationary_pi(i, j, params, policy), rel=1e-12, abs=1e-300
                 )
 
     @given(p=probs, q=probs, ptx=tx_probs)
@@ -97,12 +96,6 @@ class TestStationaryPi:
         block = stationary_block(ChannelParams(p, q), Policy(ptx), 30)
         assert np.all(block >= 0.0)
         assert block.sum() <= 1.0 + 1e-9
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            StationaryQuery(0, 1)
-        with pytest.raises(ValueError):
-            StationaryQuery(1, 0)
 
 
 class TestGapPmf:

@@ -6,8 +6,10 @@ determinism of outputs.
 """
 
 import argparse
+import ast
 import contextlib
 import csv
+import functools
 import io
 import json
 import logging
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import aoi_secrecy
 from aoi_secrecy import sweeps
 from aoi_secrecy.analytics import (
     OutageConvention,
@@ -83,6 +86,25 @@ def no_leg_runs(monkeypatch):
     """Fail the test if any method leg is called."""
     for method in sweeps.METHODS:
         monkeypatch.setitem(sweeps._LEGS, method, lambda *a: pytest.fail("a leg ran"))
+
+
+def referenced_names(tree):
+    """Every name the module reads, bare or as an attribute, except where
+    it is read inside the def or class that defines it."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
 
 
 def read_csv(path):
@@ -342,6 +364,20 @@ class TestSettingsTable:
             for kind, cmd in sub.choices.items()
         }
         assert keys == {"--config": "", **{s.flag: f"`[{s.section}] {s.key}`" for s in SETTINGS}}
+
+    def test_public_surface_is_called_or_kept(self):
+        # an export is called by the package outside its own definition,
+        # read by the benchmark, or named in README's kept-on-purpose sentence
+        text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+        sentence = re.search(r"kept as public API on purpose[^:]*: (.*?)\.(?: |$)", text).group(1)
+        kept = set(re.findall(r"`([\w.]+)`", sentence))
+        assert kept
+        for name in kept:
+            functools.reduce(getattr, name.split("."), aoi_secrecy)
+        read = set()
+        for path in [*Path(aoi_secrecy.__file__).parent.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+            read |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+        assert set(aoi_secrecy.__all__) - read - kept == set()
 
 
 class TestSpecValidation:

@@ -3,10 +3,10 @@
 The oracle builds its transitions from model.transition_distribution alone,
 so comparisons against the closed forms in analytics.py are genuine
 cross-route checks. Two operator implementations exist on purpose (the
-structured apply() and the per-state sparse matrix of to_sparse() below);
+structured apply() and the per-state sparse matrix of reference.to_sparse);
 they are compared here and must stay independent. The direct stationary
-solve is checked against two references kept here: power iteration of
-apply() and a sparse linear solve of to_sparse().
+solve is checked against two references in reference.py: power iteration
+of apply() and a sparse linear solve of to_sparse().
 """
 
 import ast
@@ -19,22 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies
-from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import spsolve
 
 import aoi_secrecy
 from aoi_secrecy.analytics import (
     OutageConvention,
-    StationaryQuery,
     average_secrecy_age,
-    col_sum,
     outage_event,
     outage_probability,
-    positive_gap_mass,
-    row_sum,
     secrecy_gap_pmf,
     stationary_block,
-    stationary_pi,
 )
 from aoi_secrecy.model import ChannelParams, Policy, SecrecyThreshold, transition_distribution, AgeState
 from aoi_secrecy.oracle import (
@@ -49,6 +42,18 @@ from aoi_secrecy.oracle import (
     truncation_for_mean_tol,
 )
 from aoi_secrecy.sweeps import MAX_TRUNCATION, TOL_MEAN, TOL_PROB
+
+from reference import (
+    NoConvergence,
+    col_sum,
+    positive_gap_mass,
+    power_iteration,
+    row_sum,
+    sparse_law,
+    stationary_tail_bounds,
+    to_sparse,
+    trace_gap_pmf,
+)
 
 P = ChannelParams(0.8, 0.2)
 HALF = Policy(0.5)
@@ -68,69 +73,6 @@ def random_dist(n, seed):
     rng = np.random.default_rng(seed)
     d = rng.random((n, n))
     return d / d.sum()
-
-
-class NoConvergence(RuntimeError):
-    def __init__(self, residual, iterations, tol):
-        super().__init__(f"residual {residual:.3e} > tol {tol:.3e} after {iterations} iterations")
-        self.residual = residual
-        self.iterations = iterations
-        self.tol = tol
-
-
-def power_iteration(chain, tol=1e-12, max_iters=None):
-    """Reference solve: iterate apply() from the (1, 1) point mass until one
-    step changes the law by <= tol in L1. From that start every truncated
-    probability is fixed by the last <= N slot outcomes, so it settles after
-    about N steps whatever the mixing rate; the default budget is N + 50.
-    Returns (pi, iterations)."""
-    n = chain.truncation
-    current = np.zeros((n, n))
-    current[0, 0] = 1.0
-    scratch = np.empty_like(current)
-    residual = math.inf
-    budget = n + 50 if max_iters is None else max_iters
-    for iteration in range(1, budget + 1):
-        chain.apply(current, scratch)
-        residual = float(np.abs(scratch - current).sum())
-        current, scratch = scratch, current
-        if residual <= tol:
-            return current, iteration
-    raise NoConvergence(residual, budget, tol)
-
-
-def to_sparse(chain):
-    """CSR matrix of the chain's operator, built state by state from
-    transition_distribution. Quadratic in N; meant for cross-checks."""
-    n = chain.truncation
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            src = (i - 1) * n + (j - 1)
-            acc: dict[int, float] = {}
-            for succ, prob in transition_distribution(AgeState(i, j), chain.params, chain.policy):
-                di = min(succ.delta_d, n)  # saturating clamp
-                dj = min(succ.delta_e, n)
-                dst = (di - 1) * n + (dj - 1)
-                acc[dst] = acc.get(dst, 0.0) + prob
-            for dst, prob in acc.items():
-                rows.append(src)
-                cols.append(dst)
-                vals.append(prob)
-    return csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
-
-
-def sparse_law(chain):
-    """Reference solve: the stationary law of to_sparse() by a sparse linear
-    solve, the normalisation replacing one (redundant) balance equation."""
-    n = chain.truncation
-    system = (to_sparse(chain).T - identity(n * n)).tolil()
-    system[0, :] = 1.0
-    rhs = np.zeros(n * n)
-    rhs[0] = 1.0
-    return spsolve(system.tocsc(), rhs).reshape(n, n)
 
 
 # (p, q, p_tx) where the direct solve meets both references: slow mixing,
@@ -167,7 +109,7 @@ class TestChainConstruction:
 
     def test_stationary_tail_bounds_formula(self):
         chain = build_truncated_chain(SLOW, HALF, 80)
-        tail_d, tail_e = chain.stationary_tail_bounds()
+        tail_d, tail_e = stationary_tail_bounds(chain)
         assert tail_d == pytest.approx((1 - 0.15) ** 79, rel=1e-12)
         assert tail_e == pytest.approx((1 - 0.05) ** 79, rel=1e-12)
 
@@ -318,9 +260,16 @@ class TestSteadyState:
         state, peak = traced_peak(lambda: steady_state(chain))
         assert peak <= 1.1 * law_bytes, peak / law_bytes
         del state
-        # the metrics add one N^2 boolean mask to the held law
+        # solved and summed, a point holds its law and O(N) beside it
         _, peak = traced_peak(lambda: oracle_metrics(steady_state(chain), 5))
         assert peak <= 1.25 * law_bytes, peak / law_bytes
+
+    def test_metrics_add_no_square_array(self, traced_peak):
+        # the gap law's masks are views of one 2N-1 entry vector; an N^2
+        # boolean mask would trace 15.3 MiB here
+        state = steady_state(build_truncated_chain(SLOW, HALF, MAX_TRUNCATION))
+        _, peak = traced_peak(lambda: oracle_metrics(state, 5))
+        assert peak <= 2**20, peak / 2**20
 
     def test_iteration_budget_exhaustion_raises(self):
         chain = build_truncated_chain(P, HALF, 60)
@@ -340,7 +289,7 @@ class TestSteadyState:
 
     def test_boundary_masses_match_exact_tail(self):
         st = steady_state(build_truncated_chain(SLOW, HALF, 80))
-        tail_d, tail_e = st.chain.stationary_tail_bounds()
+        tail_d, tail_e = stationary_tail_bounds(st.chain)
         # the clamped row delta_d = N and column delta_e = N
         assert st.pi[-1, :].sum() == pytest.approx(tail_d, rel=1e-9)
         assert st.pi[:, -1].sum() == pytest.approx(tail_e, rel=1e-9)
@@ -471,13 +420,6 @@ class TestClosedFormAgreement:
             assert abs(measured - outage_probability(params, policy, threshold, convention)) <= slack
 
 
-def trace_gap_pmf(state):
-    """Reference gap law, one np.trace call per diagonal: the summation
-    order the goldens were written with."""
-    pi = state.pi
-    return np.array([np.sum(np.tril(pi))] + [np.trace(pi, offset=d) for d in range(1, len(pi))])
-
-
 def assert_gap_law_bits(params, policy, n, event):
     state = steady_state(build_truncated_chain(params, policy, n))
     pmf, reference = gap_pmf_array(state), trace_gap_pmf(state)
@@ -553,3 +495,17 @@ def test_route_does_not_import_closed_forms(module):
             assert source != "analytics", f"{module} imports {names} from analytics"
             if source in ("", "aoi_secrecy"):
                 assert "analytics" not in names, f"{module} imports the analytics module"
+
+
+def test_references_share_nothing_with_closed_forms():
+    # tests/reference.py checks the closed forms, so it reads nothing of
+    # analytics and no private helper of the package
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("aoi_secrecy.analytics") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("aoi_secrecy"):
+            names = {alias.name for alias in node.names}
+            assert node.module != "aoi_secrecy.analytics", f"reference.py imports {names} from analytics"
+            assert "analytics" not in names, "reference.py imports the analytics module"
+            assert not {name for name in names if name.startswith("_")}, f"reference.py imports {names}"

@@ -1,7 +1,9 @@
 """Monte Carlo engine: pinned histogram digests of the walk and the
 replication's counts against them, exactness on degenerate chains,
 bit-level determinism, invariance to the block size, agreement with the
-scalar walk, and statistical agreement with closed forms.
+scalar walk, and statistical agreement with closed forms. The scalar walk
+and the expansion of the walk's events into per-slot ages are references
+kept in reference.py.
 
 Statistical assertions use pinned seeds and tolerances set from the normal
 approximation, wide enough to be stable but tight enough to catch a broken
@@ -40,43 +42,13 @@ from aoi_secrecy.simulate import (
     run_replication,
 )
 
+from reference import scalar_window_ages, trajectory, window_hist
+
 P = ChannelParams(0.8, 0.2)
 HALF = Policy(0.5)
 ALWAYS = Policy(1.0)
 
 PINNED_SEED = 20260816
-
-
-def trajectory(params, policy, config, replication_index):
-    """The secrecy age at every slot, burn-in included, expanded from the
-    events _events yields: each age holds from its slot up to the next."""
-    firsts, blocks = [], []
-    for slots, ages in _events(params, policy, config, replication_index):
-        firsts.append(int(slots[0]))
-        blocks.append(np.repeat(ages, np.diff(slots)))
-    assert firsts == list(range(0, config.burn_in + config.horizon, simulate._CHUNK))
-    return np.concatenate(blocks)
-
-
-def scalar_window_ages(params, policy, config, replication_index):
-    """The secrecy ages of a scalar sample_slot walk over the observation
-    window, driven by the replication's stream."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.base_seed, spawn_key=(replication_index,)))
-    state = AgeState(1, 1)
-    observed = []
-    for t in range(config.burn_in + config.horizon):
-        if t > 0:
-            state = sample_slot(state, params, policy, rng)
-        if t >= config.burn_in:
-            observed.append(secrecy_age(state))
-    return observed
-
-
-def window_hist(params, policy, config, replication_index):
-    """hist[k]: the observation window's slots with secrecy age k, for
-    k = 0..burn_in + horizon - 1 (the largest age a window can hold)."""
-    window = trajectory(params, policy, config, replication_index)[config.burn_in :]
-    return np.bincount(window, minlength=config.burn_in + config.horizon)
 
 
 @pytest.fixture(scope="module")
