@@ -13,10 +13,10 @@ four one-slot outcome masses, then checks it with one application of the
 operator, run over row blocks of about BLOCK_CELLS entries written into one
 reused buffer: the L1 residual is summed block by block and reported, and
 one above tol raises. A solve holds one N^2 array, the law itself.
-gap_pmf_array reads the gap law off the solved law's superdiagonals in one
-masked reduce over a strided view, each diagonal summed in the order
-numpy's trace uses; its masks are views of one 2N-1 entry vector, so the
-metrics add no N^2 array to the held law.
+gap_pmf_array reads the gap law for gaps >= 1 off the solved law's
+superdiagonals in one masked reduce over a strided view, each in numpy's
+trace order, its mask a view of one 2N-1 entry vector; gap <= 0 (secrecy
+age 0), which no metric reads, is not summed.
 
 Transition entries come from model.transition_distribution; none of the
 closed forms in analytics.py are consulted here, so agreement between the
@@ -275,25 +275,21 @@ def truncation_for_mean_tol(params: ChannelParams, policy: Policy, tol: float) -
 
 
 def gap_pmf_array(state: SteadyState) -> np.ndarray:
-    """pmf[d] = converged Pr(gap = d) for d = 0..N-1; pmf[0] is all of gap <= 0.
+    """pmf[d] = converged Pr(gap = d) for d = 1..N-1, and pmf[0] = 0.0:
+    gap <= 0 weighs 0 in the mean and lies below every outage tail.
 
     Row d-1 of `diagonals` (a view, no copy) starts at pi[0, d] and steps
     N+1 entries, so its first N-d entries are the superdiagonal d, read
     with the stride and in the order that numpy's trace at offset d reads
     it; the masked reduce sums just that prefix of every row in one call.
-    Both masks are windows onto N trues followed by N-1 falses: window[k]
-    holds its first N-k entries true, so the windows in reverse order are
-    the lower triangle and windows 1..N-1 are the prefixes, and neither
-    mask is an N^2 array.
+    The mask is windows 1..N-1 onto N trues then N-1 falses, window k
+    holding its first N-k entries true: not an N^2 array.
     """
     pi = state.pi
     n = state.chain.truncation
-    pmf = np.empty(n)
-    edge = np.arange(2 * n - 1) < n
-    window = np.lib.stride_tricks.sliding_window_view(edge, n)
-    pmf[0] = np.add.reduce(pi, axis=None, where=window[::-1])  # gap <= 0, diagonal included
+    pmf = np.zeros(n)
+    prefix = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n - 1) < n, n)[1:, :-1]
     diagonals = pi.reshape(-1)[: n * n - 1].reshape(n - 1, n + 1).T[1:n]
-    prefix = window[1:, :-1]  # row d-1 keeps its first N-d entries
     np.add.reduce(diagonals, axis=1, where=prefix, out=pmf[1:])
     return pmf
 
@@ -317,7 +313,7 @@ def oracle_metrics(state: SteadyState, event: int | None = None) -> SecrecyRepor
     out_bound = 0.0
     if event is not None:
         # 1 minus the tail keeps the small quantity explicit
-        tail = float(pmf[event + 1 :].sum()) if event + 1 < n else 0.0
+        tail = float(pmf[event + 1 :].sum())
         out_prob = 1.0 - tail
         out_bound = outage_truncation_bound(chain)
     return SecrecyReport(

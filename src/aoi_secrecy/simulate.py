@@ -3,11 +3,12 @@
 Each replication walks the exact one-slot law from state (1, 1) using one
 uniform draw per slot (the same thresholds sample_slot uses, so a scalar
 walk with the same stream has the same secrecy ages), streamed in blocks
-of _CHUNK slots, and reduces the observation window to its exact age sum
-and, for the one outage event its caller reads, the number of slots whose
-secrecy age is at most that event. The secrecy age changes only at reset
-events, so each block is reduced over its events alone, with the age each
-sets held for the run to the next. A replication's memory is about
+of _CHUNK slots broken at the burn-in's end, and reduces the observation
+window to its exact age sum and, for the one outage event its caller
+reads, the number of slots whose secrecy age is at most that event. The
+secrecy age changes only at reset events, so each window block is reduced
+over its events alone, with the age each sets held for the run to the
+next. A replication's memory is about
 1.1-1.6 MB whatever its horizon and its event (the more, the more of its
 slots are events). Replications are aggregated into normal-approximation
 confidence intervals across replication means.
@@ -37,8 +38,10 @@ DEFAULT_REPLICATIONS = 32
 # bound (memory streams through fixed-size blocks): on a quiet 2-vCPU
 # machine 10**8 slots take about 1.2 s where most slots are reset events
 # (p = q = 0.9, p_tx = 1) and 0.35 s where few are (p_tx = 0.05), twice that
-# under load. It must stay below 2**31 so the walk's int32 slots cannot overflow
+# under load. It must stay below 2**31 so the walk's int32 slots cannot overflow.
+# An estimate may walk the default count of the longest replications, and no more
 MAX_SLOTS = 10**8
+MAX_ESTIMATE_SLOTS = DEFAULT_REPLICATIONS * MAX_SLOTS
 
 # slots per block of the streamed walk: its buffers and event arrays (about
 # 1.1 MB, 1.6 MB where every slot is an event) stay in cache, and one
@@ -76,6 +79,10 @@ class SimConfig:
         slots = self.burn_in + self.horizon
         if slots > MAX_SLOTS:
             raise ValueError(f"burn_in + horizon = {slots} slots exceeds the per-replication bound {MAX_SLOTS}")
+        if self.replications * slots > MAX_ESTIMATE_SLOTS:
+            sizes = f"{self.replications} * {slots} = {self.replications * slots}"
+            bound = f"the per-estimate bound {MAX_ESTIMATE_SLOTS}"
+            raise ValueError(f"replications * (burn_in + horizon) = {sizes} slots exceeds {bound}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,9 @@ class SimEstimate:
 def _events(
     params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The replication's trajectory, burn-in included, as successive blocks
-    of at most _CHUNK slots, each reduced to its events: (slots, ages).
+    """The replication's observation window as successive blocks of at most
+    _CHUNK slots, each reduced to its events: (slots, ages). Burn-in blocks
+    are walked but not yielded: the first yielded starts at slot burn_in.
 
     Slot t >= 1 consumes the t-th uniform u of the replication's stream,
     drawn block by block, with the thresholds sample_slot uses; the start
@@ -136,8 +144,9 @@ def _events(
     ages = np.empty(size + 1, dtype=np.int32)
     last_e = 0  # slot of the last eavesdropper reset
     age = 0  # the secrecy age set by the last event
-    for first in range(0, n_slots, size):
-        m = min(size, n_slots - first)
+    starts = [*range(0, config.burn_in, size), *range(config.burn_in, n_slots, size), n_slots]
+    for first, stop in zip(starts, starts[1:]):
+        m = stop - first
         # slot 0 draws nothing: u[0] stays 0, so it is at most an event that
         # sets the age to 0 and leaves the last eavesdropper reset at 0
         rng.random(out=u[int(first == 0) : m])
@@ -157,7 +166,8 @@ def _events(
         np.subtract(s[:n], a, out=a)
         a[0] = age
         age = int(a[-1])
-        yield s, a
+        if first >= config.burn_in:
+            yield s, a
 
 
 def run_replication(
@@ -167,21 +177,13 @@ def run_replication(
     sum and, given an event, its slots with secrecy age at most the event,
     block by block over the events of _events: the age an event sets holds
     for the run of slots up to the next, so one dot product of the ages and
-    their runs (clipped to the window) sums a block, and the runs of the
-    ages within the event count it."""
+    their runs sums a block, and the runs of the ages within the event
+    count it."""
     if event is not None and event < 0:
         raise ValueError(f"event index must be >= 0, got {event}")
     run_buf = np.empty(min(_CHUNK, config.burn_in + config.horizon) + 1, dtype=np.int64)
     age_sum = outage_slots = 0
     for slots, ages in _events(params, policy, config, replication_index):
-        lo = max(config.burn_in, int(slots[0]))  # the block's first observed slot
-        if lo >= slots[-1]:
-            continue
-        # keep the age in force at slot lo and the ones after it, its run
-        # counted from lo (the buffer is rewritten for the next block)
-        k = int(np.searchsorted(slots, lo, side="right")) - 1
-        slots, ages = slots[k:], ages[k:]
-        slots[0] = lo
         runs = np.subtract(slots[1:], slots[:-1], out=run_buf[: len(ages)])
         # integer sums are exact (and numpy keeps the dot off BLAS)
         age_sum += int(np.dot(ages, runs))
@@ -208,18 +210,24 @@ def aggregate(stats: Sequence[ReplicationStats]) -> SimEstimate:
     if len(events) > 1:
         raise ValueError(f"replications counted for different events: {sorted(events, key=str)}")
     (event,) = events
+    slots = sum(s.slots_observed for s in stats)
     mean, mean_hw = _ci([s.mean_secrecy_age for s in stats])
     out_prob: Optional[float] = None
     out_hw: Optional[float] = None
     if event is not None:
         out_prob, out_hw = _ci([s.outage_slots / s.slots_observed for s in stats])
+        if out_hw is not None and sum(s.outage_slots for s in stats) in (0, slots):
+            # 0 or all of n pooled slots counted: the two-sided 95% Clopper-
+            # Pearson half-width of n independent slots, too narrow by up to
+            # about the run length, as the secrecy age holds over runs of slots
+            out_hw = 1.0 - 0.025 ** (1.0 / slots)
     return SimEstimate(
         mean_secrecy_age=mean,
         mean_halfwidth=mean_hw,
         outage_estimate=out_prob,
         outage_halfwidth=out_hw,
         outage_event=event,
-        slots_observed=sum(s.slots_observed for s in stats),
+        slots_observed=slots,
         replications=len(stats),
     )
 

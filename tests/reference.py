@@ -3,8 +3,9 @@
 Closed forms of the stationary law, written out from p, q and p_tx; the
 truncated chain's exact clamp masses, a power iteration of its operator,
 a per-state sparse twin of that operator with a sparse linear solve, and
-a gap law summed one np.trace call per diagonal; and a scalar sample_slot
-walk with the expansion of the vectorized walk's events into ages.
+a positive gap law summed one np.trace call per diagonal; and a scalar
+sample_slot walk with the expansion of the vectorized walk's events into
+ages.
 
 None of this is called by the package. Nothing here reads analytics, so a
 closed form checked against a reference here is not checked against
@@ -12,6 +13,7 @@ itself.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity
@@ -133,17 +135,20 @@ def sparse_law(chain):
 
 def trace_gap_pmf(state):
     """Reference gap law, one np.trace call per diagonal: the summation
-    order the goldens were written with."""
+    order the goldens were written with. Index 0 (gap <= 0, read by no
+    metric) is 0.0."""
     pi = state.pi
-    return np.array([np.sum(np.tril(pi))] + [np.trace(pi, offset=d) for d in range(1, len(pi))])
+    return np.array([0.0] + [np.trace(pi, offset=d) for d in range(1, len(pi))])
 
 
 def trajectory(params, policy, config, replication_index):
     """The secrecy age at every slot, burn-in included, expanded from the
-    events simulate._events yields: each age holds from its slot up to the
-    next."""
+    events simulate._events yields for a window over the same slots from
+    slot 0 (the same stream, so the same states): each age holds from its
+    slot up to the next."""
+    walk = replace(config, horizon=config.burn_in + config.horizon, burn_in=0)
     firsts, blocks = [], []
-    for slots, ages in simulate._events(params, policy, config, replication_index):
+    for slots, ages in simulate._events(params, policy, walk, replication_index):
         firsts.append(int(slots[0]))
         blocks.append(np.repeat(ages, np.diff(slots)))
     assert firsts == list(range(0, config.burn_in + config.horizon, simulate._CHUNK))

@@ -572,6 +572,32 @@ class TestCompareCommand:
             assert row["mean_ci_covers"] == ""
             assert row["outage_ci_covers"] == ""
 
+    # p = q = 0.9, p_tx = 1: the non-outage mass at eta 5 is 9.1e-7, so the
+    # 8 * 10**4 window slots most likely all count as outage
+    CERTAIN = ["--p", "0.9", "--q", "0.9", "--ptx", "1", "--eta", "5",
+               "--horizon", "10000", "--burn-in", "100", "--replications", "8"]
+
+    def test_outage_counted_in_every_slot_passes(self, tmp_path, capsys):
+        out = tmp_path / "certain.csv"
+        assert main(["compare", "--out", str(out), *self.CERTAIN]) == 0
+        assert "compare: PASS" in capsys.readouterr().out
+        (row,) = read_csv(out)
+        assert float(row["outage_monte_carlo"]) == 1.0
+        assert float(row["outage_mc_halfwidth"]) > 0.0
+        assert row["outage_ci_covers"] == "1"
+
+    def test_outage_counted_in_every_slot_still_catches_an_error(self, tmp_path, monkeypatch, capsys):
+        # the Clopper-Pearson half-width there is about 4.6e-5, so a closed
+        # form off by 1e-3 is not covered
+        def lowered(*args):
+            report = sweeps._closed_form_leg(*args)
+            return replace(report, outage_probability=report.outage_probability - 1e-3)
+
+        monkeypatch.setitem(sweeps._LEGS, "closed_form", lowered)
+        argv = ["compare", "--out", str(tmp_path / "c.csv"), "--methods", "closed_form,monte_carlo", *self.CERTAIN]
+        assert main(argv) == 1
+        assert "outage CI coverage 0.000 below required 0.75" in capsys.readouterr().out
+
     def test_unmeetable_mean_tolerance_rejected_before_any_leg(self, monkeypatch):
         # q=0.5 needs N=61 and fits under MAX_TRUNCATION; q=0.01 needs 4273
         # and does not. The run is a ValueError (CLI exit 2), raised before
@@ -767,14 +793,20 @@ class TestErrorPaths:
         ("--replications", "1", "needs replications >= 2, got 1"),
         ("--burn-in", "200000", "burn_in 200000 must be smaller than horizon 100000"),
         ("--seed", "-1", "seed must be an integer in [0, 2**64), got -1"),
-        # one replication's time is bounded by the slot bound, checked
-        # before any leg runs
+        # one replication's time is bounded by the slot bound, and one
+        # point's by the estimate bound, both checked before any leg runs
         ("--horizon", "1000000000", "burn_in + horizon = 1000001000 slots exceeds the per-replication bound 100000000"),
+        ("--replications", str(2**70),
+         f"replications * (burn_in + horizon) = {2**70} * 101000 = {2**70 * 101000} slots exceeds the per-estimate bound"),
     ])
     def test_bad_simulation_setting_rejected_before_any_leg(self, no_leg_runs, capsys, flag, value, message):
         code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_replication_count_bounded_in_library_specs(self):
+        with pytest.raises(ValueError, match="slots exceeds the per-estimate bound 3200000000"):
+            make_spec("compare", None, replications=2**70)
 
     @pytest.mark.parametrize("kind", ["fig2", "optimize", "compare"])
     def test_huge_eta_refused_before_any_work(self, no_leg_runs, monkeypatch, capsys, kind):

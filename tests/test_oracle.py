@@ -297,15 +297,16 @@ class TestSteadyState:
 
 class TestGapPmf:
     def test_distribution_is_proper(self):
+        # gap <= 0 is not summed; the positive gaps carry the positive-gap mass
         st = steady_state(build_truncated_chain(P, HALF, 150))
         pmf = gap_pmf_array(st)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(pmf >= 0.0)
+        assert pmf[0] == 0.0
+        assert np.all(pmf[1:] >= 0.0)
+        assert pmf[1:].sum() == pytest.approx(positive_gap_mass(P, HALF), abs=1e-6)
 
     def test_matches_closed_pmf(self):
         st = steady_state(build_truncated_chain(P, HALF, 150))
         pmf = gap_pmf_array(st)
-        assert pmf[0] == pytest.approx(1.0 - positive_gap_mass(P, HALF), abs=1e-6)
         for d in range(1, 11):
             assert pmf[d] == pytest.approx(secrecy_gap_pmf(d, P, HALF), abs=1e-10)
 
@@ -366,6 +367,17 @@ class TestOracleMetrics:
         with pytest.raises(ValueError, match="event index must be >= 0"):
             oracle_metrics(st, -1)
 
+    def test_gap_le_zero_mass_is_not_read(self):
+        # the metrics read the superdiagonals alone: NaN over the diagonal
+        # and the lower triangle (secrecy age 0) changes neither
+        n = 150
+        state = steady_state(build_truncated_chain(P, HALF, n))
+        before = oracle_metrics(state, 5)
+        state.pi[np.tril_indices(n)] = np.nan
+        after = oracle_metrics(state, 5)
+        assert after.average_secrecy_age == before.average_secrecy_age
+        assert after.outage_probability == before.outage_probability
+
     def test_mean_bound_infinite_when_q_zero(self):
         chain = build_truncated_chain(ChannelParams(0.8, 0.0), HALF, 30)
         assert math.isinf(mean_truncation_bound(chain))
@@ -423,10 +435,7 @@ class TestClosedFormAgreement:
 def assert_gap_law_bits(params, policy, n, event):
     state = steady_state(build_truncated_chain(params, policy, n))
     pmf, reference = gap_pmf_array(state), trace_gap_pmf(state)
-    assert np.array_equal(pmf[1:], reference[1:])
-    # gap <= 0 is summed in another order; no metric reads it (weight 0 in
-    # the mean, and the tail starts at event + 1 >= 1)
-    assert abs(pmf[0] - reference[0]) <= 1e-14
+    assert np.array_equal(pmf, reference)
     with mock.patch("aoi_secrecy.oracle.gap_pmf_array", lambda _: reference):
         expected = oracle_metrics(state, event)
     report = oracle_metrics(state, event)

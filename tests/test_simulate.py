@@ -34,6 +34,8 @@ from aoi_secrecy.model import (
     secrecy_age,
 )
 from aoi_secrecy.simulate import (
+    DEFAULT_REPLICATIONS,
+    MAX_ESTIMATE_SLOTS,
     MAX_SLOTS,
     SimConfig,
     _events,
@@ -199,6 +201,17 @@ class TestSimConfig:
             SimConfig(horizon=MAX_SLOTS, burn_in=1)
         with pytest.raises(ValueError, match="exceeds the per-replication bound"):
             SimConfig(horizon=2**62)
+        # an estimate's slots are bounded too, so a replication count cannot
+        # ask for an unbounded run; the default count fits at the longest
+        # replication
+        assert MAX_ESTIMATE_SLOTS == DEFAULT_REPLICATIONS * MAX_SLOTS
+        SimConfig(horizon=MAX_SLOTS - 10, burn_in=10, replications=DEFAULT_REPLICATIONS)
+        SimConfig(horizon=10**6, burn_in=10**4, replications=MAX_ESTIMATE_SLOTS // (10**6 + 10**4))
+        message = rf"= 33 \* {MAX_SLOTS} = {33 * MAX_SLOTS} slots exceeds the per-estimate bound {MAX_ESTIMATE_SLOTS}"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(horizon=MAX_SLOTS - 10, burn_in=10, replications=33)
+        with pytest.raises(ValueError, match=rf"= {2**70} \* 1010000 = {2**70 * 1010000} slots exceeds the per-estimate"):
+            SimConfig(replications=2**70)
 
     def test_replication_memory_flat_in_horizon(self, traced_peak):
         # a replication streams through fixed-size blocks and keeps one
@@ -226,11 +239,22 @@ class TestDegenerateChains:
         assert est.mean_halfwidth == 0.0
 
     def test_outage_certain_when_gap_never_opens(self):
+        # every slot counted: the half-width is the 95% Clopper-Pearson one
+        # of 10**4 successes in 10**4 pooled slots, not 0
         config = SimConfig(horizon=5_000, burn_in=0, replications=2, base_seed=3)
         est = estimate(ChannelParams(1.0, 1.0), Policy(0.7), config, event=4)
         assert est.outage_estimate == 1.0
-        assert est.outage_halfwidth == 0.0
+        assert est.outage_halfwidth == 1.0 - 0.025 ** (1.0 / 10_000)
+        assert 3.6e-4 < est.outage_halfwidth < 3.7e-4
         assert est.outage_event == 4
+
+    def test_outage_never_counted_has_binomial_width(self):
+        # q = 0 at p_tx = 1, p = 1: the secrecy age is the slot index, so no
+        # window slot is within event 4 past the burn-in
+        config = SimConfig(horizon=1_000, burn_in=10, replications=3, base_seed=3)
+        est = estimate(ChannelParams(1.0, 0.0), ALWAYS, config, event=4)
+        assert est.outage_estimate == 0.0
+        assert est.outage_halfwidth == 1.0 - 0.025 ** (1.0 / 3_000)
 
     def test_deaf_eavesdropper_gap_is_deterministic_ramp(self):
         # p = 1, q = 0, p_tx = 1: the receiver resets every slot, the
@@ -291,6 +315,21 @@ class TestDeterminism:
         # the same 350 states when the walk is cut into blocks of 7 slots
         monkeypatch.setattr(simulate, "_CHUNK", 7)
         self.test_matches_scalar_walk_slot_by_slot()
+
+    # burn-ins ending before, on and after the edge of a 7-slot block
+    @pytest.mark.parametrize("burn_in", [0, 6, 7, 8])
+    def test_walk_yields_only_the_window(self, monkeypatch, burn_in):
+        # the first block starts at the burn-in's end with the age in force
+        # there, and the blocks hold the window's ages and nothing before it
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
+        params, policy = ChannelParams(0.6, 0.3), Policy(0.8)
+        config = SimConfig(horizon=30, burn_in=burn_in, base_seed=8)
+        firsts, window = [], []
+        for slots, ages in _events(params, policy, config, 1):
+            firsts.append(int(slots[0]))
+            window.extend(np.repeat(ages, np.diff(slots)).tolist())
+        assert firsts == list(range(burn_in, burn_in + 30, 7))
+        assert window == scalar_window_ages(params, policy, config, 1)
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("params, policy", [
@@ -366,10 +405,10 @@ class TestStatisticalAgreement:
         total = sum(s.slots_observed for s in stats)
         events = zero_ages = 0
         for r in range(config.replications):
+            # the walk yields the observation window's blocks alone
             for slots, ages in _events(P, ALWAYS, config, r):
-                observed = slots[1:-1] >= config.burn_in
-                events += np.count_nonzero(observed)
-                zero_ages += np.count_nonzero(observed & (ages[1:] == 0))
+                events += len(slots) - 2
+                zero_ages += np.count_nonzero(ages[1:] == 0)
         for hits, target in ((events, 0.84), (zero_ages, 0.2)):
             sigma = (target * (1 - target) / total) ** 0.5
             assert abs(hits / total - target) < 4.0 * sigma
@@ -450,9 +489,11 @@ class TestAggregation:
         for other in (6, None):
             with pytest.raises(ValueError, match="replications counted for different events"):
                 aggregate([five[0], run_replication(P, HALF, config, 1, event=other)])
-        # an event past every age the window holds counts every slot
+        # an event past every age the window holds counts every slot, with
+        # the Clopper-Pearson half-width of the 4000 pooled slots
         far = estimate(P, HALF, config, event=10**12)
-        assert (far.outage_event, far.outage_estimate, far.outage_halfwidth) == (10**12, 1.0, 0.0)
+        assert (far.outage_event, far.outage_estimate) == (10**12, 1.0)
+        assert far.outage_halfwidth == 1.0 - 0.025 ** (1.0 / 4_000)
 
     def test_mean_only_run_keeps_no_counts(self):
         config = SimConfig(horizon=2_000, burn_in=100, replications=2, base_seed=1)
