@@ -16,7 +16,9 @@ one above tol raises. A solve holds one N^2 array, the law itself.
 gap_pmf_array reads the gap law for gaps >= 1 off the solved law's
 superdiagonals in one masked reduce over a strided view, each in numpy's
 trace order, its mask a view of one 2N-1 entry vector; gap <= 0 (secrecy
-age 0), which no metric reads, is not summed.
+age 0), which no metric reads, is not summed. oracle_metrics sums the mean
+and the outage tail off that law in numpy's pairwise order too, never in a
+BLAS dot, whose order is the CPU's kernel's: no reported bit depends on it.
 
 Transition entries come from model.transition_distribution; none of the
 closed forms in analytics.py are consulted here, so agreement between the
@@ -185,10 +187,8 @@ def _fold(start: float, inner: np.ndarray, stay: float) -> list[float]:
     """One clamped edge, forward from its reset-edge entry `start`:
     edge[k] = stay * (inner[k-1] + edge[k-1]), where inner is the line just
     inside the edge. Returns len(inner) + 1 entries."""
-    edge = [start]
-    for value in inner.tolist():
-        edge.append(stay * (value + edge[-1]))
-    return edge
+    edge = start
+    return [start, *[edge := stay * (value + edge) for value in inner.tolist()]]
 
 
 def steady_state(chain: TruncatedChain, tol: float = 1e-12) -> SteadyState:
@@ -223,8 +223,9 @@ def steady_state(chain: TruncatedChain, tol: float = 1e-12) -> SteadyState:
     pi[n - 1, 0] = chain.p_only_e * (row[n - 2] + row[n - 1])
     pi[0, 1:] = chain.p_only_d * col[:-1]
     pi[0, n - 1] = chain.p_only_d * (col[n - 2] + col[n - 1])
+    factor = np.array(stay)  # converted once, not once per row
     for src, dst in zip(pi[: n - 2, : n - 2], pi[1 : n - 1, 1 : n - 1]):
-        np.multiply(src, stay, out=dst)
+        np.multiply(src, factor, dst)
     pi[n - 1, : n - 1] = _fold(pi[n - 1, 0], pi[n - 2, : n - 2], stay)
     pi[: n - 1, n - 1] = _fold(pi[0, n - 1], pi[: n - 2, n - 2], stay)
     escape = chain.p_both + chain.p_only_e + chain.p_only_d
@@ -304,8 +305,7 @@ def oracle_metrics(state: SteadyState, event: int | None = None) -> SecrecyRepor
     chain = state.chain
     n = chain.truncation
     pmf = gap_pmf_array(state)
-    gaps = np.arange(n)
-    mean = float(np.dot(gaps, pmf))
+    mean = float((np.arange(n) * pmf).sum())
     mean_bound = mean_truncation_bound(chain)
     if chain.reset_rate_e <= 0.0:
         mean = math.inf

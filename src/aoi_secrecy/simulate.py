@@ -8,9 +8,10 @@ window to its exact age sum and, for the one outage event its caller
 reads, the number of slots whose secrecy age is at most that event. The
 secrecy age changes only at reset events, so each window block is reduced
 over its events alone, with the age each sets held for the run to the
-next. A replication's memory is about
-1.1-1.6 MB whatever its horizon and its event (the more, the more of its
-slots are events). Replications are aggregated into normal-approximation
+next. Slots and ages are counted in int64, so no admitted horizon
+overflows them, and a replication's memory is about 1.1-1.6 MB whatever
+its horizon and its event (the more, the more of its slots are events).
+Replications are aggregated into normal-approximation
 confidence intervals across replication means.
 
 Seeding is stateless: replication r of base seed s draws from
@@ -34,14 +35,11 @@ DEFAULT_HORIZON = 10**6
 DEFAULT_BURN_IN = 10**4
 DEFAULT_REPLICATIONS = 32
 
-# most slots (burn_in + horizon) one replication may simulate, a pure time
-# bound (memory streams through fixed-size blocks): on a quiet 2-vCPU
-# machine 10**8 slots take about 1.2 s where most slots are reset events
-# (p = q = 0.9, p_tx = 1) and 0.35 s where few are (p_tx = 0.05), twice that
-# under load. It must stay below 2**31 so the walk's int32 slots cannot overflow.
-# An estimate may walk the default count of the longest replications, and no more
-MAX_SLOTS = 10**8
-MAX_ESTIMATE_SLOTS = DEFAULT_REPLICATIONS * MAX_SLOTS
+# most slots replications * (burn_in + horizon) one estimate may simulate, a
+# pure time bound (memory streams through fixed-size blocks): on a quiet
+# 2-vCPU machine about 40 s where most slots are reset events (p = q = 0.9,
+# p_tx = 1) and 11 s where few are (p_tx = 0.05)
+MAX_ESTIMATE_SLOTS = 3_200_000_000
 
 # slots per block of the streamed walk: its buffers and event arrays (about
 # 1.1 MB, 1.6 MB where every slot is an event) stay in cache, and one
@@ -77,8 +75,6 @@ class SimConfig:
         if not (isinstance(self.base_seed, int) and 0 <= self.base_seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.base_seed!r}")
         slots = self.burn_in + self.horizon
-        if slots > MAX_SLOTS:
-            raise ValueError(f"burn_in + horizon = {slots} slots exceeds the per-replication bound {MAX_SLOTS}")
         if self.replications * slots > MAX_ESTIMATE_SLOTS:
             sizes = f"{self.replications} * {slots} = {self.replications * slots}"
             bound = f"the per-estimate bound {MAX_ESTIMATE_SLOTS}"
@@ -129,9 +125,9 @@ def _events(
     receiver-only reset to the slots since the last eavesdropper reset.
     slots[0] is the block's first slot, slots[1:-1] are its events and
     slots[-1] is one past its last slot; ages[i] is the secrecy age from
-    slot slots[i] up to slots[i + 1]. The arrays are int32 (MAX_SLOTS <
-    2**31) views of buffers that are reused and rewritten: a block is valid
-    only until the next one is drawn.
+    slot slots[i] up to slots[i + 1]. The arrays are int64 views of buffers
+    that are reused and rewritten: a block is valid only until the next one
+    is drawn.
     """
     n_slots = config.burn_in + config.horizon
     seq = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(replication_index,))
@@ -140,8 +136,8 @@ def _events(
     size = min(_CHUNK, n_slots)
     u = np.zeros(size)
     below = np.empty(size, dtype=bool)
-    slots = np.empty(size + 2, dtype=np.int32)
-    ages = np.empty(size + 1, dtype=np.int32)
+    slots = np.empty(size + 2, dtype=np.int64)
+    ages = np.empty(size + 1, dtype=np.int64)
     last_e = 0  # slot of the last eavesdropper reset
     age = 0  # the secrecy age set by the last event
     starts = [*range(0, config.burn_in, size), *range(config.burn_in, n_slots, size), n_slots]

@@ -793,9 +793,10 @@ class TestErrorPaths:
         ("--replications", "1", "needs replications >= 2, got 1"),
         ("--burn-in", "200000", "burn_in 200000 must be smaller than horizon 100000"),
         ("--seed", "-1", "seed must be an integer in [0, 2**64), got -1"),
-        # one replication's time is bounded by the slot bound, and one
-        # point's by the estimate bound, both checked before any leg runs
-        ("--horizon", "1000000000", "burn_in + horizon = 1000001000 slots exceeds the per-replication bound 100000000"),
+        # one point's time is bounded by the estimate bound, checked before
+        # any leg runs
+        ("--horizon", "1000000000",
+         "replications * (burn_in + horizon) = 8 * 1000001000 = 8000008000 slots exceeds the per-estimate bound 3200000000"),
         ("--replications", str(2**70),
          f"replications * (burn_in + horizon) = {2**70} * 101000 = {2**70 * 101000} slots exceeds the per-estimate bound"),
     ])
@@ -1056,3 +1057,21 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "fig2:" in proc.stdout
     assert out.exists()
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
+def test_golden_bytes_under_other_blas_kernels(tmp_path, coretype):
+    # the bytes are the code's alone, not the CPU's: OpenBLAS picks its
+    # kernels by CPU, and forcing those of AVX2 Intel (Haswell) and of AMD
+    # (Zen) must not move a bit. Where numpy is not built on OpenBLAS the
+    # variable has no effect, and this only re-checks the golden
+    out = tmp_path / "compare_quick.csv"
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "OPENBLAS_CORETYPE": coretype}
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoi_secrecy", "compare",
+         "--config", str(ROOT / "configs" / "compare_quick.ini"), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN / "compare_quick.csv").read_bytes()

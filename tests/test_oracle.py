@@ -11,6 +11,7 @@ of apply() and a sparse linear solve of to_sparse().
 
 import ast
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 from unittest import mock
@@ -194,7 +195,28 @@ class TestOperator:
         assert chain.one_step_residual(dist) == pytest.approx(full, rel=1e-12)
 
 
+# sha256 of steady_state(...).pi.tobytes() at (p, q, p_tx, N): the two
+# smallest truncations, one past a pairwise-sum block, the benchmark's N =
+# 400 and adaptive N = 408, q = 0 and p = q = 1
+LAW_DIGESTS = [
+    (0.8, 0.2, 0.5, 2, "8b5f131106de63036e07fa7f945721f2628dc6cbb03833b2f846f32872600a71"),
+    (0.5, 0.5, 0.3, 3, "44eb06839fd38cfdb6c4604480aa6ff439e84db0613f365a786b4b389ae8c7bd"),
+    (0.1, 0.1, 0.2, 129, "de388d4230f960c9df306e9a6468aa87c807be7c39797a231529483afcb6a141"),
+    (0.7, 0.6, 0.9, 400, "0848da28d237bc3187be0b0d021657109aedfc0378e2d0f850bc72e7c5afbf0f"),
+    (0.5, 0.2, 0.23, 408, "bb7c5e2e9af0ff9d7f0e77f1072a2dff5da065afdfafe310572664172ee2dfec"),
+    (0.8, 0.0, 0.5, 30, "82d0b6aa4954f80aec86e43591fc800e69ab4abbaf13ddb29f645dc985a4faf2"),
+    (1.0, 1.0, 0.5, 60, "a469feff778139107cd2bc57bdc54c78c4fb67558a274d28770b2b47329883ba"),
+]
+
+
 class TestSteadyState:
+    @pytest.mark.parametrize("p, q, ptx, n, digest", LAW_DIGESTS)
+    def test_law_bits_pinned(self, p, q, ptx, n, digest):
+        # every bit of the solved law: the goldens print 9 digits, and the gap
+        # law's bit tests compare against a trace of the same law
+        pi = steady_state(build_truncated_chain(ChannelParams(p, q), Policy(ptx), n)).pi
+        assert hashlib.sha256(pi.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("p, q, ptx", REFERENCE_CASES)
     def test_direct_solve_matches_both_references(self, p, q, ptx):
         params, policy = ChannelParams(p, q), Policy(ptx)

@@ -36,7 +36,6 @@ from aoi_secrecy.model import (
 from aoi_secrecy.simulate import (
     DEFAULT_REPLICATIONS,
     MAX_ESTIMATE_SLOTS,
-    MAX_SLOTS,
     SimConfig,
     _events,
     aggregate,
@@ -193,23 +192,20 @@ class TestSimConfig:
             SimConfig(base_seed=2**64)
 
     def test_slot_bound(self):
-        # a pure time bound: a replication's memory is fixed, and the walk's
-        # int32 slot indices need fewer than 2**31 slots
-        assert MAX_SLOTS < 2**31
-        SimConfig(horizon=MAX_SLOTS - 10, burn_in=10)
-        with pytest.raises(ValueError, match=f"= {MAX_SLOTS + 1} slots exceeds the per-replication bound {MAX_SLOTS}"):
-            SimConfig(horizon=MAX_SLOTS, burn_in=1)
-        with pytest.raises(ValueError, match="exceeds the per-replication bound"):
-            SimConfig(horizon=2**62)
-        # an estimate's slots are bounded too, so a replication count cannot
-        # ask for an unbounded run; the default count fits at the longest
-        # replication
-        assert MAX_ESTIMATE_SLOTS == DEFAULT_REPLICATIONS * MAX_SLOTS
-        SimConfig(horizon=MAX_SLOTS - 10, burn_in=10, replications=DEFAULT_REPLICATIONS)
+        # a pure time bound on an estimate's slots, replications * (burn_in +
+        # horizon): a replication's memory is fixed and its int64 slot
+        # indices do not overflow, so one replication may take the lot
+        SimConfig(horizon=2 * 10**8, burn_in=10, replications=1)
+        SimConfig(horizon=MAX_ESTIMATE_SLOTS - 10, burn_in=10, replications=1)
+        SimConfig(horizon=10**8 - 10, burn_in=10, replications=DEFAULT_REPLICATIONS)
         SimConfig(horizon=10**6, burn_in=10**4, replications=MAX_ESTIMATE_SLOTS // (10**6 + 10**4))
-        message = rf"= 33 \* {MAX_SLOTS} = {33 * MAX_SLOTS} slots exceeds the per-estimate bound {MAX_ESTIMATE_SLOTS}"
+        message = rf"= 33 \* {10**8} = {33 * 10**8} slots exceeds the per-estimate bound {MAX_ESTIMATE_SLOTS}"
         with pytest.raises(ValueError, match=message):
-            SimConfig(horizon=MAX_SLOTS - 10, burn_in=10, replications=33)
+            SimConfig(horizon=10**8 - 10, burn_in=10, replications=33)
+        with pytest.raises(ValueError, match="exceeds the per-estimate bound"):
+            SimConfig(horizon=MAX_ESTIMATE_SLOTS, burn_in=1, replications=1)
+        with pytest.raises(ValueError, match="exceeds the per-estimate bound"):
+            SimConfig(horizon=2**62)
         with pytest.raises(ValueError, match=rf"= {2**70} \* 1010000 = {2**70 * 1010000} slots exceeds the per-estimate"):
             SimConfig(replications=2**70)
 
@@ -330,6 +326,14 @@ class TestDeterminism:
             window.extend(np.repeat(ages, np.diff(slots)).tolist())
         assert firsts == list(range(burn_in, burn_in + 30, 7))
         assert window == scalar_window_ages(params, policy, config, 1)
+
+    def test_walk_counts_in_int64(self):
+        # slot indices and ages are int64, so no admitted slot count, up to
+        # MAX_ESTIMATE_SLOTS > 2**31 in one replication, can overflow them
+        config = SimConfig(horizon=100, burn_in=10, base_seed=8)
+        for slots, ages in _events(ChannelParams(0.6, 0.3), Policy(0.8), config, 1):
+            assert slots.dtype == ages.dtype == np.int64
+        assert MAX_ESTIMATE_SLOTS > 2**31
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("params, policy", [
