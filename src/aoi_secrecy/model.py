@@ -102,8 +102,8 @@ def slot_thresholds(params: ChannelParams, policy: Policy) -> tuple[float, float
     """
     p, q, ptx = params.p, params.q, policy.p_tx
     c1 = ptx * p * q
-    c2 = c1 + ptx * (1.0 - p) * q
-    c3 = c2 + ptx * p * (1.0 - q)
+    c2 = c1 + ptx * (1 - p) * q
+    c3 = c2 + ptx * p * (1 - q)
     return c1, c2, c3
 
 
@@ -115,15 +115,15 @@ def transition_distribution(
     The four outcomes of one slot: both ages reset, only the eavesdropper's
     resets, only the receiver's resets, or neither (no transmission or a
     transmission neither link decoded). Reception events on the two links are
-    independent given a transmission.
+    independent given a transmission. Masses keep the inputs' type (Fraction).
     """
     i, j = state.delta_d, state.delta_e
     p, q, ptx = params.p, params.q, policy.p_tx
     successors = [
         (AgeState(1, 1), ptx * p * q),
-        (AgeState(i + 1, 1), ptx * (1.0 - p) * q),
-        (AgeState(1, j + 1), ptx * p * (1.0 - q)),
-        (AgeState(i + 1, j + 1), ptx * (1.0 - p) * (1.0 - q) + 1.0 - ptx),
+        (AgeState(i + 1, 1), ptx * (1 - p) * q),
+        (AgeState(1, j + 1), ptx * p * (1 - q)),
+        (AgeState(i + 1, j + 1), ptx * (1 - p) * (1 - q) + 1 - ptx),
     ]
     return [(s, prob) for s, prob in successors if prob > 0.0]
 

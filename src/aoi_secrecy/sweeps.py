@@ -33,7 +33,6 @@ from .analytics import (
 from .model import ChannelParams, Policy, SecrecyReport, SecrecyThreshold
 from .oracle import build_truncated_chain, oracle_metrics, steady_state, truncation_for_mean_tol
 from .simulate import (
-    DEFAULT_BURN_IN,
     DEFAULT_HORIZON,
     DEFAULT_REPLICATIONS,
     SimConfig,
@@ -122,7 +121,6 @@ class SweepSpec:
     ratio_values: tuple[float, ...] = ()
     eta_values: tuple[int, ...] = ()
     horizon: int = DEFAULT_HORIZON
-    burn_in: int = DEFAULT_BURN_IN
     replications: int = DEFAULT_REPLICATIONS
     optimize_step: float = 1e-3
     workers: int = 1
@@ -157,7 +155,7 @@ class SweepSpec:
             raise ValueError("compare needs at least two methods listed")
         if simulated:
             # the simulation settings pass SimConfig's checks before any leg runs
-            SimConfig(self.horizon, self.burn_in, self.replications, base_seed=self.seed)
+            SimConfig(self.horizon, burn_in=0, replications=self.replications, base_seed=self.seed)
             # compare judges Monte Carlo by its half-widths, which need two replications
             if self.experiment == "compare" and self.replications < 2:
                 raise ValueError(f"compare with monte_carlo needs replications >= 2, got {self.replications}")
@@ -253,7 +251,7 @@ class Setting:
 
 _WITH_LEGS = ("fig1", "fig2", "compare")  # the experiments that run method legs
 # settings that only a monte_carlo leg reads: unread where it does not run
-_MONTE_CARLO_ONLY = ("seed", "horizon", "burn_in", "replications")
+_MONTE_CARLO_ONLY = ("seed", "horizon", "replications")
 
 SETTINGS: tuple[Setting, ...] = (
     Setting("methods", "experiment", "methods", "--methods", _strs, _WITH_LEGS,
@@ -271,7 +269,6 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("eta_values", "grid", "eta", "--eta", _ints, ("fig2", "compare", "optimize"),
             "comma list of thresholds"),
     Setting("horizon", "sim", "horizon", "--horizon", _int, _WITH_LEGS, "slots per replication"),
-    Setting("burn_in", "sim", "burn_in", "--burn-in", _int, _WITH_LEGS, "slots discarded per replication"),
     Setting("replications", "sim", "replications", "--replications", _int, _WITH_LEGS,
             "Monte Carlo replications per point"),
     Setting("workers", "sim", "workers", "--workers", _int, _WITH_LEGS,
@@ -413,9 +410,10 @@ def _oracle_leg(spec, index, params, policy, event, truncation) -> SecrecyReport
 
 
 def _monte_carlo_leg(spec, index, params, policy, event, truncation) -> SecrecyReport:
+    # windows start at slot 0, in (1, 1): a regeneration point of the secrecy age
     config = SimConfig(
         horizon=spec.horizon,
-        burn_in=spec.burn_in,
+        burn_in=0,
         replications=spec.replications,
         base_seed=_row_seed(spec.seed, index),
     )

@@ -309,7 +309,7 @@ def test_criterion_7_byte_identical_comparison(tmp_path, capsys):
     """Identical seeds give byte-identical compare CSVs at any worker count."""
     base_args = [
         "compare", "--p", "0.8", "--q", "0.2,0.5", "--ptx", "0.5,1.0", "--eta", "5",
-        "--horizon", "50000", "--burn-in", "1000", "--replications", "4",
+        "--horizon", "50000", "--replications", "4",
         "--seed", "42",
     ]
     outputs = []

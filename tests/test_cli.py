@@ -76,7 +76,6 @@ eta = 5
 
 [sim]
 horizon = 9000
-burn_in = 100
 replications = 3
 """
 
@@ -243,7 +242,6 @@ SAMPLE_VALUES = {
     "ratio_values": "1.5, 2",
     "eta_values": "3, 7",
     "horizon": "12345",
-    "burn_in": "77",
     "replications": "5",
     "workers": "3",
     "optimize_step": "0.01",
@@ -316,7 +314,7 @@ class TestSettingsTable:
         # it: it is refused as unread, before checks that only Monte Carlo
         # needs (each value but the seed would fail one of them if read)
         methods = "closed_form,oracle" if kind == "compare" else "closed_form"
-        value = {"seed": "0x2a", "horizon": "1", "burn_in": "2000000", "replications": "1"}[setting.field]
+        value = {"seed": "0x2a", "horizon": "1", "replications": "1"}[setting.field]
         named = f"error: {kind} does not read {setting.flag} ([{setting.section}] {setting.key}) without monte_carlo"
         path = tmp_path / "one.ini"
         path.write_text(f"[{setting.section}]\n{setting.key} = {value}\n")
@@ -329,7 +327,7 @@ class TestSettingsTable:
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--methods", "monte_carlo", "--ptx", "0.3", "--workers", "9", "--seed", "5",
-         "--horizon", "7", "--burn-in", "3"],
+         "--horizon", "7"],
         ["optimize", "--q", "0.2", "--eta", "5", "--p", "0.8", "--methods", "monte_carlo", "--ptx", "0.3"],
         ["fig1", "--q", "0.2", "--ptx", "0.5", "--ratio", "2", "--p", "0.3", "--eta", "7", "--step", "0.01"],
         ["fig1", "--convention", "paper"],
@@ -534,7 +532,7 @@ class TestFig2Command:
 
 class TestCompareCommand:
     GRID = ["--p", "0.8", "--q", "0.2", "--ptx", "0.5,1.0", "--eta", "5"]
-    COMMON = GRID + ["--horizon", "20000", "--burn-in", "500", "--replications", "4", "--seed", "3"]
+    COMMON = GRID + ["--horizon", "20000", "--replications", "4", "--seed", "3"]
 
     def test_strict_run_passes(self, tmp_path, capsys):
         out = tmp_path / "compare.csv"
@@ -575,7 +573,7 @@ class TestCompareCommand:
     # p = q = 0.9, p_tx = 1: the non-outage mass at eta 5 is 9.1e-7, so the
     # 8 * 10**4 window slots most likely all count as outage
     CERTAIN = ["--p", "0.9", "--q", "0.9", "--ptx", "1", "--eta", "5",
-               "--horizon", "10000", "--burn-in", "100", "--replications", "8"]
+               "--horizon", "10000", "--replications", "8"]
 
     def test_outage_counted_in_every_slot_passes(self, tmp_path, capsys):
         out = tmp_path / "certain.csv"
@@ -609,7 +607,7 @@ class TestCompareCommand:
             "compare", None,
             methods=("closed_form", "oracle", "monte_carlo"),
             p_values=(0.8,), q_values=(0.5, 0.01), ptx_values=(0.5,), eta_values=(5,),
-            horizon=2000, burn_in=100, replications=2,
+            horizon=2000, replications=2,
         )
         with pytest.raises(ValueError, match="MAX_TRUNCATION"):
             run_compare(spec)
@@ -628,6 +626,47 @@ class TestCompareCommand:
         needed = truncation_for_mean_tol(ChannelParams(0.8, 0.08), Policy(0.5), 1e-7)
         assert needed > sweeps.MIN_TRUNCATION
         assert all(row[5] == needed for row in result.rows)  # adaptive N overrode the floor
+
+    # the closed-form-versus-oracle checks at their own tolerances: an error
+    # planted at twice the allowance fails the run, one at half of it passes
+    @pytest.mark.parametrize("factor, code", [(2.0, 1), (0.5, 0)])
+    def test_mean_check_at_its_tolerance(self, tmp_path, monkeypatch, capsys, factor, code):
+        def shifted(*args):
+            report = sweeps._closed_form_leg(*args)
+            return replace(report, average_secrecy_age=report.average_secrecy_age + factor * sweeps.TOL_MEAN)
+
+        monkeypatch.setitem(sweeps._LEGS, "closed_form", shifted)
+        argv = ["compare", "--out", str(tmp_path / "c.csv"), "--methods", "closed_form,oracle", *self.GRID]
+        assert main(argv) == code
+        failed = [line for line in capsys.readouterr().out.splitlines() if "|mean closed-oracle|" in line]
+        assert len(failed) == (2 if code else 0)  # one line per p_tx point
+
+    # r_e = p_tx q = 0.01: the adaptive N is 2062, where the truncation
+    # bound (1 - r_e)^N is about TOL_PROB, so both terms of the allowance count
+    OUTAGE_POINT = ["--p", "0.8", "--q", "0.02", "--ptx", "0.5", "--eta", "5"]
+
+    @pytest.mark.parametrize("factor, code", [(2.0, 1), (0.5, 0)])
+    def test_outage_check_at_its_allowance(self, tmp_path, monkeypatch, capsys, factor, code):
+        params, policy = ChannelParams(0.8, 0.02), Policy(0.5)
+        spec = make_spec("compare", None, methods=("closed_form", "oracle"))
+        n = sweeps._oracle_truncation(spec, 0.8, 0.02, 0.5)
+        assert n == 2062
+        bound = outage_truncation_bound(build_truncated_chain(params, policy, n))
+        assert 9.9e-10 < bound < 1e-9
+        allowed = sweeps.TOL_PROB + bound
+
+        def shifted(*args):
+            report = sweeps._closed_form_leg(*args)
+            return replace(report, outage_probability=report.outage_probability + factor * allowed)
+
+        monkeypatch.setitem(sweeps._LEGS, "closed_form", shifted)
+        out = tmp_path / "c.csv"
+        argv = ["compare", "--out", str(out), "--methods", "closed_form,oracle", *self.OUTAGE_POINT]
+        assert main(argv) == code
+        (row,) = read_csv(out)
+        assert float(row["outage_abs_diff"]) == pytest.approx(factor * allowed, rel=1e-4)
+        failed = [line for line in capsys.readouterr().out.splitlines() if "outage closed-vs-oracle" in line]
+        assert len(failed) == code
 
 
 class TestOptimizeCommand:
@@ -764,6 +803,8 @@ class TestErrorPaths:
         ("--truncation", "4001"),
         ("--truncation", "400"),
         ("--p-fixed", "0.8"),
+        # experiments walk each replication from slot 0: no burn-in to set
+        ("--burn-in", "1000"),
     ])
     def test_bad_tolerance_rejected(self, no_leg_runs, capsys, flag, value):
         try:
@@ -781,6 +822,7 @@ class TestErrorPaths:
         ("tolerances", "mean"),
         ("tolerances", "prob"),
         ("tolerances", "mc_coverage"),
+        ("sim", "burn_in"),
     ])
     def test_removed_config_key_rejected(self, no_leg_runs, tmp_path, capsys, section, key):
         path = tmp_path / "old.ini"
@@ -791,14 +833,13 @@ class TestErrorPaths:
     @pytest.mark.parametrize("flag, value, message", [
         # compare judges Monte Carlo by half-widths, which one replication lacks
         ("--replications", "1", "needs replications >= 2, got 1"),
-        ("--burn-in", "200000", "burn_in 200000 must be smaller than horizon 100000"),
         ("--seed", "-1", "seed must be an integer in [0, 2**64), got -1"),
         # one point's time is bounded by the estimate bound, checked before
         # any leg runs
         ("--horizon", "1000000000",
-         "replications * (burn_in + horizon) = 8 * 1000001000 = 8000008000 slots exceeds the per-estimate bound 3200000000"),
+         "replications * (burn_in + horizon) = 8 * 1000000000 = 8000000000 slots exceeds the per-estimate bound 3200000000"),
         ("--replications", str(2**70),
-         f"replications * (burn_in + horizon) = {2**70} * 101000 = {2**70 * 101000} slots exceeds the per-estimate bound"),
+         f"replications * (burn_in + horizon) = {2**70} * 100000 = {2**70 * 100000} slots exceeds the per-estimate bound"),
     ])
     def test_bad_simulation_setting_rejected_before_any_leg(self, no_leg_runs, capsys, flag, value, message):
         code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value])
@@ -892,7 +933,6 @@ VALID_TEXT = {
     "ratio_values": st.floats(0.1, 8.0).map(repr),
     "eta_values": st.integers(1, 20).map(str),
     "horizon": st.integers(1, 10**6).map(str),
-    "burn_in": st.integers(0, 10**4).map(str),
     "replications": st.integers(1, 64).map(str),
     "workers": st.integers(1, 4).map(str),
     "optimize_step": st.floats(1e-3, 0.5).map(repr),
@@ -1003,7 +1043,7 @@ class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         args = [
             "compare", "--p", "0.8", "--q", "0.2,0.5", "--ptx", "0.5", "--eta", "3",
-            "--horizon", "5000", "--burn-in", "100", "--replications", "2",
+            "--horizon", "5000", "--replications", "2",
             "--seed", "11",
         ]
         outputs = []

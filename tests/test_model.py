@@ -1,10 +1,11 @@
 """Domain types and the one-slot transition law."""
 
 import collections
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoi_secrecy.model import (
@@ -22,6 +23,8 @@ from aoi_secrecy.model import (
 probs = st.floats(min_value=0.0, max_value=1.0)
 tx_probs = st.floats(min_value=1e-9, max_value=1.0)
 ages = st.integers(min_value=1, max_value=10**6)
+# small-denominator rationals in [0, 1], 0 and 1 included
+rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
 def as_dict(successors):
@@ -169,3 +172,19 @@ class TestSecrecyAge:
 def test_slot_thresholds_ordered(p, q, ptx):
     c1, c2, c3 = slot_thresholds(ChannelParams(p, q), Policy(ptx))
     assert 0.0 <= c1 <= c2 <= c3 <= 1.0 + 1e-12
+
+
+@given(p=rationals, q=rationals, ptx=rationals.filter(lambda f: f > 0))
+@example(p=Fraction(0), q=Fraction(0), ptx=Fraction(1))
+@example(p=Fraction(1), q=Fraction(1), ptx=Fraction(1))
+@example(p=Fraction(1, 3), q=Fraction(2, 7), ptx=Fraction(5, 11))
+def test_law_exact_over_rationals(p, q, ptx):
+    # 1 - p, not 1.0 - p: Fraction inputs give Fraction masses, and the four
+    # outcomes, or the thresholds and the no-update mass, sum to exactly 1
+    params, policy = ChannelParams(p, q), Policy(ptx)
+    out = as_dict(transition_distribution(AgeState(2, 2), params, policy))
+    assert all(type(prob) is Fraction for prob in out.values())
+    assert sum(out.values()) == 1
+    c1, c2, c3 = slot_thresholds(params, policy)
+    assert all(type(c) is Fraction for c in (c1, c2, c3))
+    assert c3 + out.get((3, 3), 0) == 1

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies
 
 import aoi_secrecy
@@ -510,6 +510,31 @@ class TestTruncationSizing:
         for tol in (0.0, -1e-6, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive"):
                 truncation_for_mean_tol(P, HALF, tol)
+
+
+class TestTruncationBounds:
+    # the outage bound against the mass the solved law holds at the clamp:
+    # the clamped column delta_e = N holds Pr(delta_e >= N) = (1 - r_e)^(N-1),
+    # every history the bound covers among it. The survivals there are
+    # (N-1)-fold products of a rounded rate, so where r_e is below about
+    # N eps (q = 0 among them) the solved mass sits up to about 1.4 N eps
+    # below the bound's 1.0; 4 N eps allows that and nothing near a bound
+    # taken at a smaller power, such as (1 - r_e)^(N // 2)
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        p=unit_interval(0.0, 1.0),
+        q=unit_interval(0.0, 1.0, 1e-12),
+        ptx=unit_interval(1.0, 1e-12, low=1e-12),
+        n=strategies.integers(2, 400),
+    )
+    @example(p=0.8, q=0.02, ptx=0.5, n=2062)  # compare's adaptive N at r_e = 0.01
+    @example(p=0.8, q=1e-12, ptx=1.0, n=400)  # r_e = 1e-12
+    @example(p=0.5, q=0.0, ptx=0.5, n=400)
+    @example(p=1.0, q=1.0, ptx=1.0, n=400)
+    def test_outage_bound_within_clamp_mass(self, p, q, ptx, n):
+        chain = build_truncated_chain(ChannelParams(p, q), Policy(ptx), n)
+        clamp_mass = steady_state(chain).pi[:, -1].sum()
+        assert outage_truncation_bound(chain) <= clamp_mass * (1.0 + 4 * n * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("module", ["oracle.py", "simulate.py"])
