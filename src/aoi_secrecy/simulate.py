@@ -6,10 +6,14 @@ walk with the same stream has the same secrecy ages), streamed in blocks
 of _CHUNK slots broken at the burn-in's end, and reduces the observation
 window to its exact age sum and, for the one outage event its caller
 reads, the number of slots whose secrecy age is at most that event. The
-secrecy age changes only at reset events, so each window block is reduced
-over its events alone, with the age each sets held for the run to the
-next. Slots and ages are counted in int64, so no admitted horizon
-overflows them, and a replication's memory is about 1.1-1.6 MB whatever
+secrecy age at a slot is the slot of the last event (any reset) minus
+that of the last eavesdropper reset, so each window block is reduced over
+two lists of slots, found by two threshold scans of its draws: its age sum
+is the difference of the two lists' held sums, one integer dot product
+each, and its slots past the event lie in the eavesdropper cycles longer
+than event + 1 slots, from the first event after the cycle's start +
+event on. Slots and ages are counted in int64, so no admitted horizon
+overflows them, and a replication's memory is about 0.6-1.5 MB whatever
 its horizon and its event (the more, the more of its slots are events).
 Replications are aggregated into normal-approximation
 confidence intervals across replication means.
@@ -36,13 +40,15 @@ DEFAULT_BURN_IN = 10**4
 DEFAULT_REPLICATIONS = 32
 
 # most slots replications * (burn_in + horizon) one estimate may simulate, a
-# pure time bound (memory streams through fixed-size blocks): on a quiet
-# 2-vCPU machine about 40 s where most slots are reset events (p = q = 0.9,
-# p_tx = 1) and 11 s where few are (p_tx = 0.05)
+# pure time bound (memory streams through fixed-size blocks): on one thread
+# of a 2-vCPU machine about 25 s where most slots are reset events (p = q =
+# 0.9, p_tx = 1), 15 s where few are (p_tx = 0.05), and up to 40 s counting
+# an outage where most eavesdropper cycles are longer than event + 1 slots
+# (p = 0.9, q = 0.1, p_tx = 1, event 0)
 MAX_ESTIMATE_SLOTS = 3_200_000_000
 
-# slots per block of the streamed walk: its buffers and event arrays (about
-# 1.1 MB, 1.6 MB where every slot is an event) stay in cache, and one
+# slots per block of the streamed walk: its buffers and slot lists (about
+# 0.6 MB, 1.5 MB where nearly every slot is an event) stay in cache, and one
 # replication's memory does not grow with its horizon
 _CHUNK = 1 << 15
 
@@ -78,7 +84,8 @@ class SimConfig:
         if self.replications * slots > MAX_ESTIMATE_SLOTS:
             sizes = f"{self.replications} * {slots} = {self.replications * slots}"
             bound = f"the per-estimate bound {MAX_ESTIMATE_SLOTS}"
-            raise ValueError(f"replications * (burn_in + horizon) = {sizes} slots exceeds {bound}")
+            walked = "(burn_in + horizon)" if self.burn_in else "horizon"
+            raise ValueError(f"replications * {walked} = {sizes} slots exceeds {bound}")
 
 
 @dataclass(frozen=True)
@@ -113,21 +120,19 @@ class SimEstimate:
 
 def _events(
     params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, int, int]]:
     """The replication's observation window as successive blocks of at most
-    _CHUNK slots, each reduced to its events: (slots, ages). Burn-in blocks
-    are walked but not yielded: the first yielded starts at slot burn_in.
+    _CHUNK slots, each reduced to its events and eavesdropper resets:
+    (first, m, events, resets, last_event, last_reset). Burn-in blocks are
+    walked but not yielded: the first yielded starts at slot burn_in.
 
     Slot t >= 1 consumes the t-th uniform u of the replication's stream,
     drawn block by block, with the thresholds sample_slot uses; the start
-    state (1, 1) is a reset of both sides at slot 0. The secrecy age changes
-    only at an event, u < c3: an eavesdropper reset (u < c2) sets it to 0, a
-    receiver-only reset to the slots since the last eavesdropper reset.
-    slots[0] is the block's first slot, slots[1:-1] are its events and
-    slots[-1] is one past its last slot; ages[i] is the secrecy age from
-    slot slots[i] up to slots[i + 1]. The arrays are int64 views of buffers
-    that are reused and rewritten: a block is valid only until the next one
-    is drawn.
+    state (1, 1) is a reset of both sides at slot 0. A block covers slots
+    first .. first + m - 1. Its events (any reset, u < c3) and its resets
+    (eavesdropper resets, u < c2) are int64 arrays of their slots, counted
+    from first; last_event and last_reset are the last of each before the
+    block, counted from first too (so <= 0).
     """
     n_slots = config.burn_in + config.horizon
     seq = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(replication_index,))
@@ -136,34 +141,62 @@ def _events(
     size = min(_CHUNK, n_slots)
     u = np.zeros(size)
     below = np.empty(size, dtype=bool)
-    slots = np.empty(size + 2, dtype=np.int64)
-    ages = np.empty(size + 1, dtype=np.int64)
-    last_e = 0  # slot of the last eavesdropper reset
-    age = 0  # the secrecy age set by the last event
+    last_e = last_r = 0  # slots of the last event and eavesdropper reset
     starts = [*range(0, config.burn_in, size), *range(config.burn_in, n_slots, size), n_slots]
     for first, stop in zip(starts, starts[1:]):
         m = stop - first
-        # slot 0 draws nothing: u[0] stays 0, so it is at most an event that
-        # sets the age to 0 and leaves the last eavesdropper reset at 0
+        # slot 0 draws nothing: u[0] stays 0, so it is at most a reset of
+        # both sides, which the start state already is
         rng.random(out=u[int(first == 0) : m])
-        block = u[:m]
-        events = np.flatnonzero(np.less(block, c3, out=below[:m]))
-        n = len(events) + 1
-        s, a = slots[: n + 1], ages[:n]
-        s[0], s[n] = first, first + m
-        np.add(events, first, out=s[1:n])
-        # an event's slot where it resets the eavesdropper, else 0; the
-        # running max, started from the last reset so far, is the last
-        # eavesdropper reset at or before each event
-        np.multiply(s[1:n], np.less(block, c2, out=below[:m])[events], out=a[1:])
-        a[0] = last_e
-        np.maximum.accumulate(a, out=a)
-        last_e = int(a[-1])
-        np.subtract(s[:n], a, out=a)
-        a[0] = age
-        age = int(a[-1])
+        events = np.flatnonzero(np.less(u[:m], c3, out=below[:m]))
+        resets = np.flatnonzero(np.less(u[:m], c2, out=below[:m]))
         if first >= config.burn_in:
-            yield s, a
+            yield first, m, events, resets, last_e - first, last_r - first
+        if len(events):
+            last_e = first + int(events[-1])
+        if len(resets):
+            last_r = first + int(resets[-1])
+
+
+def _held_sum(marks: np.ndarray, carried: int, m: int, scratch: np.ndarray) -> tuple[int, np.ndarray]:
+    """Sum over slots 0 .. m - 1 of the last mark at or before each slot,
+    carried before marks[0]: carried * marks[0] + sum marks[i] *
+    (marks[i + 1] - marks[i]), with m after the last mark. Also returns the
+    gaps between marks, written into scratch."""
+    n = len(marks)
+    gaps = np.subtract(marks[1:], marks[:-1], out=scratch[: max(n - 1, 0)])
+    if n == 0:
+        return carried * m, gaps
+    last = int(marks[-1])
+    # integer sums are exact (and numpy keeps the dot off BLAS)
+    return carried * int(marks[0]) + int(np.dot(marks[:-1], gaps)) + last * (m - last), gaps
+
+
+def _slots_over(
+    events: np.ndarray, resets: np.ndarray, cycles: np.ndarray, last_event: int, last_reset: int, m: int, event: int
+) -> int:
+    """The block's slots with secrecy age > event. In an eavesdropper cycle
+    [r, r') the age is the last event's slot minus r, so it exceeds event
+    from the first event after r + event up to r'. The block holds its inner
+    cycles, between resets, whose lengths are cycles; at its edges are the
+    cycle carried in, up to the first reset, and the one from the last reset
+    on."""
+    inner = np.flatnonzero(cycles > event + 1)
+    # an inner cycle ends at a reset, itself an event, so each long one has
+    # an event past its start + event
+    over = int(resets[1:][inner].sum()) - int(events[np.searchsorted(events, resets[inner] + (event + 1))].sum())
+    edges = [(last_reset, int(resets[0]) if len(resets) else m)]
+    if len(resets):
+        edges.append((int(resets[-1]), m))
+    for start, end in edges:
+        if last_event > start + event:
+            over += end  # the carried cycle is past event from the block's start
+        else:
+            # with no event that late in the block, none of its slots is over
+            j = int(np.searchsorted(events, start + event + 1))
+            if j < len(events):
+                over += max(end - int(events[j]), 0)
+    return over
 
 
 def run_replication(
@@ -171,21 +204,24 @@ def run_replication(
 ) -> ReplicationStats:
     """Simulate one replication and reduce its observation window to its age
     sum and, given an event, its slots with secrecy age at most the event,
-    block by block over the events of _events: the age an event sets holds
-    for the run of slots up to the next, so one dot product of the ages and
-    their runs sums a block, and the runs of the ages within the event
-    count it."""
+    block by block over the lists of _events. The secrecy age at a slot is
+    the slot of the last event minus that of the last eavesdropper reset, so
+    a block's age sum is the difference of their two held sums."""
     if event is not None and event < 0:
         raise ValueError(f"event index must be >= 0, got {event}")
-    run_buf = np.empty(min(_CHUNK, config.burn_in + config.horizon) + 1, dtype=np.int64)
-    age_sum = outage_slots = 0
-    for slots, ages in _events(params, policy, config, replication_index):
-        runs = np.subtract(slots[1:], slots[:-1], out=run_buf[: len(ages)])
-        # integer sums are exact (and numpy keeps the dot off BLAS)
-        age_sum += int(np.dot(ages, runs))
-        if event is not None:
-            outage_slots += int(runs.sum(where=ages <= event))
-    return ReplicationStats(config.horizon, age_sum, event, None if event is None else outage_slots)
+    n_slots = config.burn_in + config.horizon
+    scratch = np.empty(min(_CHUNK, n_slots), dtype=np.int64)
+    # no secrecy age of the walk reaches n_slots, so a later event counts the
+    # same slots, and slot arithmetic with it stays in int64
+    within = None if event is None else min(event, n_slots)
+    age_sum = over = 0
+    for _, m, events, resets, last_event, last_reset in _events(params, policy, config, replication_index):
+        held_events, _ = _held_sum(events, last_event, m, scratch)
+        held_resets, cycles = _held_sum(resets, last_reset, m, scratch)
+        age_sum += held_events - held_resets
+        if within is not None:
+            over += _slots_over(events, resets, cycles, last_event, last_reset, m, within)
+    return ReplicationStats(config.horizon, age_sum, event, None if event is None else config.horizon - over)
 
 
 def _ci(values: Sequence[float]) -> tuple[float, Optional[float]]:

@@ -4,8 +4,8 @@ Closed forms of the stationary law, written out from p, q and p_tx; the
 truncated chain's exact clamp masses, a power iteration of its operator,
 a per-state sparse twin of that operator with a sparse linear solve, and
 a positive gap law summed one np.trace call per diagonal; and a scalar
-sample_slot walk with the expansion of the vectorized walk's events into
-ages.
+sample_slot walk with the expansion of the vectorized walk's event and
+reset lists into ages.
 
 None of this is called by the package. Nothing here reads analytics, so a
 closed form checked against a reference here is not checked against
@@ -141,18 +141,28 @@ def trace_gap_pmf(state):
     return np.array([0.0] + [np.trace(pi, offset=d) for d in range(1, len(pi))])
 
 
+def held(marks, carried, m):
+    """The last mark at or before each of slots 0 .. m - 1, carried before
+    marks[0]."""
+    return np.repeat(np.concatenate(([carried], marks)), np.diff(np.concatenate(([0], marks, [m]))))
+
+
+def block_ages(block):
+    """The secrecy age at every slot of a block simulate._events yields: the
+    last event's slot minus the last eavesdropper reset's, expanded slot by
+    slot."""
+    _, m, events, resets, last_event, last_reset = block
+    return held(events, last_event, m) - held(resets, last_reset, m)
+
+
 def trajectory(params, policy, config, replication_index):
     """The secrecy age at every slot, burn-in included, expanded from the
-    events simulate._events yields for a window over the same slots from
-    slot 0 (the same stream, so the same states): each age holds from its
-    slot up to the next."""
+    blocks simulate._events yields for a window over the same slots from
+    slot 0 (the same stream, so the same states)."""
     walk = replace(config, horizon=config.burn_in + config.horizon, burn_in=0)
-    firsts, blocks = [], []
-    for slots, ages in simulate._events(params, policy, walk, replication_index):
-        firsts.append(int(slots[0]))
-        blocks.append(np.repeat(ages, np.diff(slots)))
-    assert firsts == list(range(0, config.burn_in + config.horizon, simulate._CHUNK))
-    return np.concatenate(blocks)
+    blocks = list(simulate._events(params, policy, walk, replication_index))
+    assert [block[0] for block in blocks] == list(range(0, config.burn_in + config.horizon, simulate._CHUNK))
+    return np.concatenate([block_ages(block) for block in blocks])
 
 
 def scalar_window_ages(params, policy, config, replication_index):

@@ -837,9 +837,9 @@ class TestErrorPaths:
         # one point's time is bounded by the estimate bound, checked before
         # any leg runs
         ("--horizon", "1000000000",
-         "replications * (burn_in + horizon) = 8 * 1000000000 = 8000000000 slots exceeds the per-estimate bound 3200000000"),
+         "replications * horizon = 8 * 1000000000 = 8000000000 slots exceeds the per-estimate bound 3200000000"),
         ("--replications", str(2**70),
-         f"replications * (burn_in + horizon) = {2**70} * 100000 = {2**70 * 100000} slots exceeds the per-estimate bound"),
+         f"replications * horizon = {2**70} * 100000 = {2**70 * 100000} slots exceeds the per-estimate bound"),
     ])
     def test_bad_simulation_setting_rejected_before_any_leg(self, no_leg_runs, capsys, flag, value, message):
         code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), flag, value])

@@ -2,8 +2,8 @@
 replication's counts against them, exactness on degenerate chains,
 bit-level determinism, invariance to the block size, agreement with the
 scalar walk, and statistical agreement with closed forms. The scalar walk
-and the expansion of the walk's events into per-slot ages are references
-kept in reference.py.
+and the expansion of the walk's event and reset lists into per-slot ages
+are references kept in reference.py.
 
 Statistical assertions use pinned seeds and tolerances set from the normal
 approximation, wide enough to be stable but tight enough to catch a broken
@@ -43,7 +43,7 @@ from aoi_secrecy.simulate import (
     run_replication,
 )
 
-from reference import scalar_window_ages, trajectory, window_hist
+from reference import block_ages, scalar_window_ages, trajectory, window_hist
 
 P = ChannelParams(0.8, 0.2)
 HALF = Policy(0.5)
@@ -200,8 +200,11 @@ class TestSimConfig:
         SimConfig(horizon=10**8 - 10, burn_in=10, replications=DEFAULT_REPLICATIONS)
         SimConfig(horizon=10**6, burn_in=10**4, replications=MAX_ESTIMATE_SLOTS // (10**6 + 10**4))
         message = rf"= 33 \* {10**8} = {33 * 10**8} slots exceeds the per-estimate bound {MAX_ESTIMATE_SLOTS}"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rf"replications \* \(burn_in \+ horizon\) {message}"):
             SimConfig(horizon=10**8 - 10, burn_in=10, replications=33)
+        # the burn-in is named only where there is one
+        with pytest.raises(ValueError, match=rf"replications \* horizon {message}"):
+            SimConfig(horizon=10**8, burn_in=0, replications=33)
         with pytest.raises(ValueError, match="exceeds the per-estimate bound"):
             SimConfig(horizon=MAX_ESTIMATE_SLOTS, burn_in=1, replications=1)
         with pytest.raises(ValueError, match="exceeds the per-estimate bound"):
@@ -211,11 +214,11 @@ class TestSimConfig:
 
     def test_replication_memory_flat_in_horizon(self, traced_peak):
         # a replication streams through fixed-size blocks and keeps one
-        # count: its traced peak (about 1.3 MB at (0.8, 0.2, 0.5), 1.6 MB at
+        # count: its traced peak (about 0.8 MB at (0.8, 0.2, 0.5), 1.5 MB at
         # (0.9, 0.9, 1.0), where nearly every slot is an event and a block's
-        # event arrays are full-sized) does not grow with the horizon, also
-        # where the gap grows without bound (q = 0) or nearly so (q = 1e-6),
-        # nor with the event
+        # two slot lists are nearly full-sized) does not grow with the
+        # horizon, also where the gap grows without bound (q = 0) or nearly
+        # so (q = 1e-6), nor with the event
         cases = [(P, HALF, (10**5, 10**6), 10), (ChannelParams(0.9, 0.9), ALWAYS, (10**5, 10**6), 10)]
         cases += [(ChannelParams(0.5, q), ALWAYS, (10**6, 4 * 10**6), 10) for q in (0.0, 1e-6)]
         cases += [(ChannelParams(0.5, 0.0), ALWAYS, (10**6,), 10**12)]
@@ -320,19 +323,19 @@ class TestDeterminism:
         monkeypatch.setattr(simulate, "_CHUNK", 7)
         params, policy = ChannelParams(0.6, 0.3), Policy(0.8)
         config = SimConfig(horizon=30, burn_in=burn_in, base_seed=8)
-        firsts, window = [], []
-        for slots, ages in _events(params, policy, config, 1):
-            firsts.append(int(slots[0]))
-            window.extend(np.repeat(ages, np.diff(slots)).tolist())
-        assert firsts == list(range(burn_in, burn_in + 30, 7))
+        blocks = list(_events(params, policy, config, 1))
+        window = np.concatenate([block_ages(block) for block in blocks]).tolist()
+        assert [block[0] for block in blocks] == list(range(burn_in, burn_in + 30, 7))
         assert window == scalar_window_ages(params, policy, config, 1)
 
     def test_walk_counts_in_int64(self):
-        # slot indices and ages are int64, so no admitted slot count, up to
-        # MAX_ESTIMATE_SLOTS > 2**31 in one replication, can overflow them
+        # slot lists are int64, and the slots carried across blocks Python
+        # ints, so no admitted slot count, up to MAX_ESTIMATE_SLOTS > 2**31
+        # in one replication, can overflow them
         config = SimConfig(horizon=100, burn_in=10, base_seed=8)
-        for slots, ages in _events(ChannelParams(0.6, 0.3), Policy(0.8), config, 1):
-            assert slots.dtype == ages.dtype == np.int64
+        for _, _, events, resets, last_event, last_reset in _events(ChannelParams(0.6, 0.3), Policy(0.8), config, 1):
+            assert events.dtype == resets.dtype == np.int64
+            assert type(last_event) is type(last_reset) is int
         assert MAX_ESTIMATE_SLOTS > 2**31
 
     @pytest.mark.parametrize("chunk", [1, 7])
@@ -385,6 +388,37 @@ class TestDeterminism:
             assert got.age_sum == sum(observed)
             assert got.outage_slots == sum(age <= k for age in observed)
 
+    @given(
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        q=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        p_tx=st.sampled_from([1.0]) | st.floats(1e-3, 1.0),
+        chunk=st.sampled_from([1, 7]),
+        horizon_frac=st.floats(0.0, 1.0, exclude_max=True),
+        burn_frac=st.floats(0.0, 1.0, exclude_max=True),
+        # a window walks at most 41 slots: events of 0, within its ages and
+        # past every one
+        event=st.just(0) | st.integers(1, 40) | st.integers(41, 10**10),
+    )
+    # q = 0: one eavesdropper cycle from slot 0 on, carried through every
+    # block; c3 = 0.99 with a sparse eavesdropper (c2 = 0.09): long cycles
+    # dense with events
+    @example(p=0.5, q=0.0, p_tx=1.0, chunk=1, horizon_frac=0.9, burn_frac=0.5, event=1)
+    @example(p=0.99, q=0.09, p_tx=1.0, chunk=7, horizon_frac=0.9, burn_frac=0.3, event=3)
+    @settings(max_examples=200, deadline=None)
+    def test_window_sums_match_scalar_walk(self, p, q, p_tx, chunk, horizon_frac, burn_frac, event):
+        # the two held sums and the long-cycle count against the scalar walk
+        # on horizons of up to three blocks, so that state is carried across
+        # blocks, blocks hold no event and cycles start blocks before they end
+        params, policy = ChannelParams(p, q), Policy(p_tx)
+        horizon = 1 + int(horizon_frac * 3 * chunk)
+        config = SimConfig(horizon=horizon, burn_in=int(burn_frac * horizon), base_seed=13)
+        observed = scalar_window_ages(params, policy, config, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_CHUNK", chunk)
+            got = run_replication(params, policy, config, 2, event=event)
+        assert got.age_sum == sum(observed)
+        assert got.outage_slots == sum(age <= event for age in observed)
+
 
 class TestStatisticalAgreement:
     def test_mean_within_interval_of_closed_form(self, pinned_run):
@@ -410,9 +444,9 @@ class TestStatisticalAgreement:
         events = zero_ages = 0
         for r in range(config.replications):
             # the walk yields the observation window's blocks alone
-            for slots, ages in _events(P, ALWAYS, config, r):
-                events += len(slots) - 2
-                zero_ages += np.count_nonzero(ages[1:] == 0)
+            for block in _events(P, ALWAYS, config, r):
+                events += len(block[2])
+                zero_ages += len(block[3])
         for hits, target in ((events, 0.84), (zero_ages, 0.2)):
             sigma = (target * (1 - target) / total) ** 0.5
             assert abs(hits / total - target) < 4.0 * sigma
@@ -494,10 +528,12 @@ class TestAggregation:
             with pytest.raises(ValueError, match="replications counted for different events"):
                 aggregate([five[0], run_replication(P, HALF, config, 1, event=other)])
         # an event past every age the window holds counts every slot, with
-        # the Clopper-Pearson half-width of the 4000 pooled slots
-        far = estimate(P, HALF, config, event=10**12)
-        assert (far.outage_event, far.outage_estimate) == (10**12, 1.0)
-        assert far.outage_halfwidth == 1.0 - 0.025 ** (1.0 / 4_000)
+        # the Clopper-Pearson half-width of the 4000 pooled slots, also one
+        # past int64
+        for event in (10**12, 2**70):
+            far = estimate(P, HALF, config, event=event)
+            assert (far.outage_event, far.outage_estimate) == (event, 1.0)
+            assert far.outage_halfwidth == 1.0 - 0.025 ** (1.0 / 4_000)
 
     def test_mean_only_run_keeps_no_counts(self):
         config = SimConfig(horizon=2_000, burn_in=100, replications=2, base_seed=1)
