@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
@@ -54,6 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the directory of the --out table before any leg runs, so an
+    unwritable one, or a directory in the table's place, is refused before
+    the work rather than after it."""
+    parent = os.path.dirname(path)
+    try:
+        os.makedirs(parent or ".", exist_ok=True)
+    except OSError as err:
+        raise ValueError(f"--out {path!r}: cannot create its directory {parent!r}: {err.strerror}") from None
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory, not a table file")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     flags = vars(build_parser().parse_args(argv))
     experiment, config_path = flags.pop("experiment"), flags.pop("config")
@@ -63,6 +77,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         spec = make_spec(experiment, config, **flags)
         if spec.out_path is None:
             spec = replace(spec, out_path=f"{experiment}.csv")
+        _make_out_dir(spec.out_path)
         result = RUNNERS[spec.experiment](spec)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,22 +1,20 @@
 """Seeded Monte Carlo engine for the slot-level system.
 
 Each replication walks the exact one-slot law from state (1, 1) using one
-uniform draw per slot (the same thresholds sample_slot uses, so a scalar
-walk with the same stream has the same secrecy ages), streamed in blocks
-of _CHUNK slots broken at the burn-in's end, and reduces the observation
+uniform draw per slot (the thresholds sample_slot uses, so a scalar walk
+with the same stream has the same secrecy ages), streamed in blocks of
+_CHUNK slots broken at the burn-in's end. It reduces its observation
 window to its exact age sum and, for the one outage event its caller
-reads, the number of slots whose secrecy age is at most that event. The
-secrecy age at a slot is the slot of the last event (any reset) minus
-that of the last eavesdropper reset, so each window block is reduced over
-two lists of slots, found by two threshold scans of its draws: its age sum
-is the difference of the two lists' held sums, one integer dot product
-each, and its slots past the event lie in the eavesdropper cycles longer
-than event + 1 slots, from the first event after the cycle's start +
-event on. Slots and ages are counted in int64, so no admitted horizon
-overflows them, and a replication's memory is about 0.6-1.5 MB whatever
-its horizon and its event (the more, the more of its slots are events).
-Replications are aggregated into normal-approximation
-confidence intervals across replication means.
+reads, its slots with secrecy age at most that event. The secrecy age at
+a slot is the slot of the last event (any reset) minus that of the last
+eavesdropper reset, so a block reduces to two slot lists, each opening
+with its mark carried in and closing at the block's end: its age sum is
+the difference of their held sums, and its slots past the event lie in
+the eavesdropper cycles (the gaps of the reset list) longer than event + 1
+slots. Slots and ages are int64, so no admitted horizon overflows them,
+and a replication's memory is about 0.6-1.5 MB (the more, the more of its
+slots are events) whatever its horizon. Replications are aggregated into
+normal-approximation confidence intervals across replication means.
 
 Seeding is stateless: replication r of base seed s draws from
 SeedSequence(entropy=s, spawn_key=(r,)), so any execution order or degree
@@ -47,8 +45,9 @@ DEFAULT_REPLICATIONS = 32
 # (p = 0.9, q = 0.1, p_tx = 1, event 0)
 MAX_ESTIMATE_SLOTS = 3_200_000_000
 
-# slots per block of the streamed walk: its buffers and slot lists (about
-# 0.6 MB, 1.5 MB where nearly every slot is an event) stay in cache, and one
+# slots per block of the streamed walk, whose buffers hold _CHUNK + 2 draws
+# (the block's and two sentinels): they and the slot lists (about 0.6 MB,
+# 1.5 MB where nearly every slot is an event) stay in cache, and one
 # replication's memory does not grow with its horizon
 _CHUNK = 1 << 15
 
@@ -120,107 +119,84 @@ class SimEstimate:
 
 def _events(
     params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, int, int]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The replication's observation window as successive blocks of at most
     _CHUNK slots, each reduced to its events and eavesdropper resets:
-    (first, m, events, resets, last_event, last_reset). Burn-in blocks are
-    walked but not yielded: the first yielded starts at slot burn_in.
+    (first, events, resets). Burn-in blocks are walked but not yielded: the
+    first yielded starts at slot burn_in.
 
     Slot t >= 1 consumes the t-th uniform u of the replication's stream,
     drawn block by block, with the thresholds sample_slot uses; the start
-    state (1, 1) is a reset of both sides at slot 0. A block covers slots
-    first .. first + m - 1. Its events (any reset, u < c3) and its resets
-    (eavesdropper resets, u < c2) are int64 arrays of their slots, counted
-    from first; last_event and last_reset are the last of each before the
-    block, counted from first too (so <= 0).
+    state (1, 1) is a reset of both sides at slot 0. A block of m slots,
+    first .. first + m - 1, sits at positions 1 .. m of its draw buffer,
+    between two sentinel draws below every threshold at 0 and m + 1. Its
+    events (any reset, u < c3) and its resets (eavesdropper resets, u < c2)
+    are int64 arrays of the positions below each threshold, so each list
+    ends with m + 1, the block's end, and starts with the position of the
+    last mark before the block (<= 1), written over the front sentinel.
     """
     n_slots = config.burn_in + config.horizon
     seq = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(replication_index,))
     rng = np.random.default_rng(seq)
     _, c2, c3 = slot_thresholds(params, policy)
     size = min(_CHUNK, n_slots)
-    u = np.zeros(size)
-    below = np.empty(size, dtype=bool)
-    last_e = last_r = 0  # slots of the last event and eavesdropper reset
+    u = np.full(size + 2, -1.0)
+    below = np.empty(size + 2, dtype=bool)
+    last_e = last_r = 1  # positions of the last event and eavesdropper reset
     starts = [*range(0, config.burn_in, size), *range(config.burn_in, n_slots, size), n_slots]
     for first, stop in zip(starts, starts[1:]):
         m = stop - first
-        # slot 0 draws nothing: u[0] stays 0, so it is at most a reset of
-        # both sides, which the start state already is
-        rng.random(out=u[int(first == 0) : m])
-        events = np.flatnonzero(np.less(u[:m], c3, out=below[:m]))
-        resets = np.flatnonzero(np.less(u[:m], c2, out=below[:m]))
+        u[m + 1] = -1.0
+        # slot 0 draws nothing: its sentinel makes it a reset of both
+        # sides, which the start state is
+        rng.random(out=u[1 + int(first == 0) : m + 1])
+        events = np.flatnonzero(np.less(u[: m + 2], c3, out=below[: m + 2]))
+        resets = np.flatnonzero(np.less(u[: m + 2], c2, out=below[: m + 2]))
+        events[0], resets[0] = last_e, last_r
         if first >= config.burn_in:
-            yield first, m, events, resets, last_e - first, last_r - first
-        if len(events):
-            last_e = first + int(events[-1])
-        if len(resets):
-            last_r = first + int(resets[-1])
+            yield first, events, resets
+        last_e, last_r = int(events[-2]) - m, int(resets[-2]) - m
 
 
-def _held_sum(marks: np.ndarray, carried: int, m: int, scratch: np.ndarray) -> tuple[int, np.ndarray]:
-    """Sum over slots 0 .. m - 1 of the last mark at or before each slot,
-    carried before marks[0]: carried * marks[0] + sum marks[i] *
-    (marks[i + 1] - marks[i]), with m after the last mark. Also returns the
-    gaps between marks, written into scratch."""
-    n = len(marks)
-    gaps = np.subtract(marks[1:], marks[:-1], out=scratch[: max(n - 1, 0)])
-    if n == 0:
-        return carried * m, gaps
-    last = int(marks[-1])
-    # integer sums are exact (and numpy keeps the dot off BLAS)
-    return carried * int(marks[0]) + int(np.dot(marks[:-1], gaps)) + last * (m - last), gaps
-
-
-def _slots_over(
-    events: np.ndarray, resets: np.ndarray, cycles: np.ndarray, last_event: int, last_reset: int, m: int, event: int
-) -> int:
-    """The block's slots with secrecy age > event. In an eavesdropper cycle
-    [r, r') the age is the last event's slot minus r, so it exceeds event
-    from the first event after r + event up to r'. The block holds its inner
-    cycles, between resets, whose lengths are cycles; at its edges are the
-    cycle carried in, up to the first reset, and the one from the last reset
-    on."""
-    inner = np.flatnonzero(cycles > event + 1)
-    # an inner cycle ends at a reset, itself an event, so each long one has
-    # an event past its start + event
-    over = int(resets[1:][inner].sum()) - int(events[np.searchsorted(events, resets[inner] + (event + 1))].sum())
-    edges = [(last_reset, int(resets[0]) if len(resets) else m)]
-    if len(resets):
-        edges.append((int(resets[-1]), m))
-    for start, end in edges:
-        if last_event > start + event:
-            over += end  # the carried cycle is past event from the block's start
-        else:
-            # with no event that late in the block, none of its slots is over
-            j = int(np.searchsorted(events, start + event + 1))
-            if j < len(events):
-                over += max(end - int(events[j]), 0)
-    return over
+def _held_sum(marks: np.ndarray, scratch: np.ndarray) -> tuple[int, np.ndarray]:
+    """Sum over positions 1 .. m of the last mark at or before each, for
+    marks carried in at marks[0] and ending at marks[-1] = m + 1: marks[0] *
+    (marks[1] - 1) + sum marks[i] * (marks[i + 1] - marks[i]) for i >= 1.
+    Also returns the gaps between marks, written into scratch."""
+    gaps = np.subtract(marks[1:], marks[:-1], out=scratch[: len(marks) - 1])
+    # integer sums are exact (and numpy keeps the dot off BLAS); the carried
+    # term stays a Python int, as marks[0] * gaps[0] can pass int64
+    return int(marks[0]) * (int(marks[1]) - 1) + int(np.dot(marks[1:-1], gaps[1:])), gaps
 
 
 def run_replication(
     params: ChannelParams, policy: Policy, config: SimConfig, replication_index: int, event: int | None = None
 ) -> ReplicationStats:
-    """Simulate one replication and reduce its observation window to its age
-    sum and, given an event, its slots with secrecy age at most the event,
-    block by block over the lists of _events. The secrecy age at a slot is
-    the slot of the last event minus that of the last eavesdropper reset, so
-    a block's age sum is the difference of their two held sums."""
+    """Simulate one replication and reduce its observation window, block by
+    block over the lists of _events, to its age sum (the events' held sum
+    minus the resets') and, given an event, its slots with secrecy age at
+    most the event. In an eavesdropper cycle [r, r') the age exceeds event
+    from the first event after r + event up to r'. Every cycle of a block,
+    carried in or running past its end too, is a gap of its reset list, and
+    an event before the block counts from the block's start."""
     if event is not None and event < 0:
         raise ValueError(f"event index must be >= 0, got {event}")
     n_slots = config.burn_in + config.horizon
-    scratch = np.empty(min(_CHUNK, n_slots), dtype=np.int64)
+    scratch = np.empty(min(_CHUNK, n_slots) + 1, dtype=np.int64)
     # no secrecy age of the walk reaches n_slots, so a later event counts the
     # same slots, and slot arithmetic with it stays in int64
     within = None if event is None else min(event, n_slots)
     age_sum = over = 0
-    for _, m, events, resets, last_event, last_reset in _events(params, policy, config, replication_index):
-        held_events, _ = _held_sum(events, last_event, m, scratch)
-        held_resets, cycles = _held_sum(resets, last_reset, m, scratch)
+    for _, events, resets in _events(params, policy, config, replication_index):
+        held_events, _ = _held_sum(events, scratch)
+        held_resets, cycles = _held_sum(resets, scratch)
         age_sum += held_events - held_resets
         if within is not None:
-            over += _slots_over(events, resets, cycles, last_event, last_reset, m, within)
+            # a cycle ends at a reset, itself an event, or at the block's
+            # end, so each long one has an event past its start + event
+            long = np.flatnonzero(cycles > within + 1)
+            past = events[np.searchsorted(events, resets[long] + (within + 1))]
+            over += int(resets[long + 1].sum()) - int(np.maximum(past, 1).sum())
     return ReplicationStats(config.horizon, age_sum, event, None if event is None else config.horizon - over)
 
 

@@ -14,7 +14,6 @@ import csv
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Any, Callable, Optional, Sequence
@@ -375,9 +374,6 @@ def _fmt(value: Any) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)

@@ -141,18 +141,18 @@ def trace_gap_pmf(state):
     return np.array([0.0] + [np.trace(pi, offset=d) for d in range(1, len(pi))])
 
 
-def held(marks, carried, m):
-    """The last mark at or before each of slots 0 .. m - 1, carried before
-    marks[0]."""
-    return np.repeat(np.concatenate(([carried], marks)), np.diff(np.concatenate(([0], marks, [m]))))
+def held(marks):
+    """The last mark at or before each of positions 1 .. m of a block, for
+    marks carried in at marks[0] and ending at marks[-1] = m + 1."""
+    return np.repeat(marks[:-1], np.diff(np.concatenate(([1], marks[1:]))))
 
 
 def block_ages(block):
     """The secrecy age at every slot of a block simulate._events yields: the
     last event's slot minus the last eavesdropper reset's, expanded slot by
     slot."""
-    _, m, events, resets, last_event, last_reset = block
-    return held(events, last_event, m) - held(resets, last_reset, m)
+    _, events, resets = block
+    return held(events) - held(resets)
 
 
 def trajectory(params, policy, config, replication_index):

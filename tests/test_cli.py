@@ -486,6 +486,20 @@ class TestFig1Command:
         assert code == 0
         assert out.exists()
 
+    # a regular file where the table's directory would go, and a directory
+    # where the table would go
+    @pytest.mark.parametrize("name, message", [
+        ("taken/compare.csv", "': cannot create its directory"),
+        ("taken_dir", "' is a directory"),
+    ])
+    def test_unwritable_out_refused_before_any_leg(self, no_leg_runs, tmp_path, capsys, name, message):
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "taken_dir").mkdir()
+        out = tmp_path / name
+        code = main(["compare", "--config", str(ROOT / "configs" / "compare_quick.ini"), "--out", str(out)])
+        assert code == 2
+        assert f"--out '{out}{message}" in capsys.readouterr().err
+
 
 class TestFig2Command:
     def test_starred_row_per_curve(self, tmp_path):

@@ -38,6 +38,7 @@ from aoi_secrecy.simulate import (
     MAX_ESTIMATE_SLOTS,
     SimConfig,
     _events,
+    _held_sum,
     aggregate,
     estimate,
     run_replication,
@@ -329,14 +330,31 @@ class TestDeterminism:
         assert window == scalar_window_ages(params, policy, config, 1)
 
     def test_walk_counts_in_int64(self):
-        # slot lists are int64, and the slots carried across blocks Python
-        # ints, so no admitted slot count, up to MAX_ESTIMATE_SLOTS > 2**31
-        # in one replication, can overflow them
+        # slot lists, the marks carried across blocks included, are int64, so
+        # no admitted slot count, up to MAX_ESTIMATE_SLOTS > 2**31 in one
+        # replication, can overflow them
         config = SimConfig(horizon=100, burn_in=10, base_seed=8)
-        for _, _, events, resets, last_event, last_reset in _events(ChannelParams(0.6, 0.3), Policy(0.8), config, 1):
+        for _, events, resets in _events(ChannelParams(0.6, 0.3), Policy(0.8), config, 1):
             assert events.dtype == resets.dtype == np.int64
-            assert type(last_event) is type(last_reset) is int
+            # each list opens with its carried mark and closes at the block's end
+            assert resets[0] <= events[0] <= 1 and events[-1] == resets[-1]
         assert MAX_ESTIMATE_SLOTS > 2**31
+
+    def test_held_sum_carried_at_full_scale(self):
+        # a mark carried in from MAX_ESTIMATE_SLOTS slots before a full
+        # block: its product with the first gap passes int64, so the held
+        # sum must keep it out of the integer dot
+        m = simulate._CHUNK
+        marks = np.array([-MAX_ESTIMATE_SLOTS, *range(3, m + 1, 5), m + 1], dtype=np.int64)
+        got, gaps = _held_sum(marks, np.empty(m + 1, dtype=np.int64))
+        exact = [int(v) for v in marks]
+        inner, last, want = set(exact[1:-1]), exact[0], 0
+        for position in range(1, m + 1):
+            last = position if position in inner else last
+            want += last
+        assert got == want
+        assert gaps.tolist() == [b - a for a, b in zip(exact, exact[1:])]
+        assert abs(exact[0] * (exact[1] - exact[0])) > np.iinfo(np.int64).max
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("params, policy", [
@@ -445,8 +463,9 @@ class TestStatisticalAgreement:
         for r in range(config.replications):
             # the walk yields the observation window's blocks alone
             for block in _events(P, ALWAYS, config, r):
-                events += len(block[2])
-                zero_ages += len(block[3])
+                # less the carried mark and the block's end
+                events += len(block[1]) - 2
+                zero_ages += len(block[2]) - 2
         for hits, target in ((events, 0.84), (zero_ages, 0.2)):
             sigma = (target * (1 - target) / total) ** 0.5
             assert abs(hits / total - target) < 4.0 * sigma
