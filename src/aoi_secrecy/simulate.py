@@ -24,6 +24,7 @@ of parallelism yields bit-identical results.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -240,10 +241,19 @@ def aggregate(stats: Sequence[ReplicationStats]) -> SimEstimate:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is not exposed)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _ordered_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
-    """[fn(item) for item in items], on a pool of `workers` threads when
-    there is more than one of each; results come back in items order."""
-    if workers > 1 and len(items) > 1:
+    """[fn(item) for item in items], on a pool of `workers` threads, at most
+    one per item and per usable CPU, when that is more than one; results come
+    back in items order."""
+    workers = min(workers, len(items), _usable_cpus())
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

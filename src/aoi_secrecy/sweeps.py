@@ -271,7 +271,7 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("replications", "sim", "replications", "--replications", _int, _WITH_LEGS,
             "Monte Carlo replications per point"),
     Setting("workers", "sim", "workers", "--workers", _int, _WITH_LEGS,
-            "thread pool size for parameter points"),
+            "threads for parameter points, at most one per usable CPU"),
     Setting("optimize_step", "tolerances", "optimize_step", "--step", float, ("optimize",),
             "optimize grid-search step"),
 )
@@ -450,24 +450,21 @@ def _oracle_truncation(spec: SweepSpec, p: float, q: float, ptx: float) -> Optio
 
 
 def _evaluate(
-    spec: SweepSpec,
-    points: Sequence[tuple],
-    row: Callable[[tuple, dict[str, SecrecyReport]], Any],
-    measured: OutageConvention | None = None,
-) -> list[Any]:
-    """row(point, reports) for every point, in grid order, where reports maps
-    each requested method to its SecrecyReport. A point starts
-    (p, q, p_tx, eta or None); anything after that is the runner's own.
-    Every oracle truncation is settled before any leg runs, so an unmeetable
-    demand costs no work. Each leg gets the outage event index of eta: the
-    closed form that of spec.convention, which is what the printed
-    convention changes, and the oracle and Monte Carlo legs that of
-    `measured` (spec.convention unless given). Monte Carlo seeds from the
-    point's index, so results do not depend on the worker count."""
+    spec: SweepSpec, points: Sequence[tuple], measured: OutageConvention | None = None
+) -> list[dict[str, SecrecyReport]]:
+    """Each point's reports, in grid order: a dict mapping each requested
+    method to its SecrecyReport. A point starts (p, q, p_tx, eta or None);
+    anything after that is the runner's own. Every oracle truncation is
+    settled before any leg runs, so an unmeetable demand costs no work.
+    Each leg gets the outage event index of eta: the closed form that of
+    spec.convention, which is what the printed convention changes, and the
+    oracle and Monte Carlo legs that of `measured` (spec.convention unless
+    given). Monte Carlo seeds from the point's index, so results do not
+    depend on the worker count."""
     measured = measured or spec.convention
     truncations = [_oracle_truncation(spec, p, q, ptx) for p, q, ptx, *_ in points]
 
-    def evaluate(index: int) -> Any:
+    def evaluate(index: int) -> dict[str, SecrecyReport]:
         p, q, ptx, eta = points[index][:4]
         params, policy = ChannelParams(p=p, q=q), Policy(p_tx=ptx)
         reports = {}
@@ -475,9 +472,17 @@ def _evaluate(
             convention = spec.convention if m == "closed_form" else measured
             event = None if eta is None else outage_event(SecrecyThreshold(eta), convention)
             reports[m] = _LEGS[m](spec, index, params, policy, event, truncations[index])
-        return row(points[index], reports)
+        return reports
 
     return _ordered_map(evaluate, range(len(points)), spec.workers)
+
+
+def _judged(spec: SweepSpec, header: list[str], rows: list[list[Any]], lines: list[str], failures: list[str],
+            detail: str = "") -> SweepResult:
+    """A checking run's summary is `lines`, each failure, then PASS or FAIL; exit 1 on any failure."""
+    verdict = "FAIL" if failures else "PASS"
+    summary = "\n".join([*lines, *failures, f"{spec.experiment}: {verdict}{detail}"])
+    return _maybe_write(spec, SweepResult(header, rows, summary, 1 if failures else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +501,10 @@ def run_fig1_sweep(spec: SweepSpec) -> SweepResult:
                 kept.append(ratio)
         points.extend((min(ratio * q, 1.0), q, ptx, None, ratio) for ptx in spec.ptx_values for ratio in kept)
 
-    def row(point, reports):
-        p, q, ptx, _, ratio = point
-        return [q, ptx, ratio, p] + [r.average_secrecy_age for r in reports.values()]
-
-    rows = _evaluate(spec, points, row)
+    rows = [
+        [q, ptx, ratio, p] + [r.average_secrecy_age for r in reports.values()]
+        for (p, q, ptx, _, ratio), reports in zip(points, _evaluate(spec, points))
+    ]
     header = ["q", "p_tx", "ratio", "p"] + [f"avg_secrecy_age_{m}" for m in spec.methods]
     summary = f"fig1: {len(rows)} rows ({len(spec.methods)} method column(s))"
     return _maybe_write(spec, SweepResult(header, rows, summary))
@@ -521,12 +525,11 @@ def run_fig2_sweep(spec: SweepSpec) -> SweepResult:
                 points.extend((p, q, ptx, eta, 0) for ptx in spec.ptx_values)
                 points.append((p, q, optimal_ptx(q, SecrecyThreshold(eta), spec.convention), eta, 1))
 
-    def row(point, reports):
-        p, q, ptx, eta, starred = point
-        objectives = [ptx * (1.0 - r.outage_probability) for r in reports.values()]
-        return [p, q, eta, ptx, *objectives, spec.convention.value, starred]
-
-    rows = _evaluate(spec, points, row)
+    rows = [
+        [p, q, eta, ptx, *(ptx * (1.0 - r.outage_probability) for r in reports.values()),
+         spec.convention.value, starred]
+        for (p, q, ptx, eta, starred), reports in zip(points, _evaluate(spec, points))
+    ]
     header = (
         ["p", "q", "eta_th", "p_tx"]
         + [f"objective_{m}" for m in spec.methods]
@@ -561,14 +564,12 @@ def run_compare(spec: SweepSpec) -> SweepResult:
     its cells empty. Exit code 1 on any tolerance or coverage failure.
     """
     points = list(product(spec.p_values, spec.q_values, spec.ptx_values, spec.eta_values))
-
-    def row(point, reports):
-        p, q, ptx, eta = point
+    rows: list[list[Any]] = []
+    failures: list[str] = []
+    for (p, q, ptx, eta), reports in zip(points, _evaluate(spec, points, OutageConvention.STRICT_DEFINITION)):
         cf, orc, mc = (reports.get(m) for m in METHODS)
-        failures: list[str] = []
         where = f"p={p:g} q={q:g} p_tx={ptx:g} eta={eta}"
-        mean_diff = out_diff = None
-        mean_covers = out_covers = None
+        mean_diff = out_diff = mean_covers = out_covers = None
         note = ""
         # offset between the labeled closed form and the measured event
         offset = 0.0
@@ -578,9 +579,7 @@ def run_compare(spec: SweepSpec) -> SweepResult:
                 note = "mismatch_expected"
         if cf is not None and orc is not None:
             cf_mean, orc_mean = cf.average_secrecy_age, orc.average_secrecy_age
-            mean_diff = abs(cf_mean - orc_mean) if math.isfinite(cf_mean) else (
-                0.0 if cf_mean == orc_mean else math.inf
-            )
+            mean_diff = 0.0 if cf_mean == orc_mean else abs(cf_mean - orc_mean)  # both may be infinite
             if mean_diff > TOL_MEAN:
                 failures.append(f"{where}: |mean closed-oracle| = {mean_diff:.3e} > {TOL_MEAN:g}")
             out_diff = abs(orc.outage_probability - cf.outage_probability)
@@ -590,42 +589,33 @@ def run_compare(spec: SweepSpec) -> SweepResult:
                     f"{where}: outage closed-vs-oracle off by {out_diff:.3e}, "
                     f"expected {offset:.3e} within {allowed:.3e}"
                 )
-        if mc is not None:
-            # the closed form when requested, else the oracle; the closed-form
-            # outage shifted by the offset is the measured event's
-            ref = cf or orc
+        # Monte Carlo against the closed form (its outage shifted by the offset)
+        # or else the oracle; not at q = 0, where no stationary law exists
+        # (the reference mean is infinite) and a window measures a transient
+        ref = cf or orc
+        if mc is not None and math.isfinite(ref.average_secrecy_age):
             out_ref = ref.outage_probability + (offset if cf is not None else 0.0)
-            if math.isfinite(ref.average_secrecy_age):
-                mean_covers = int(abs(mc.average_secrecy_age - ref.average_secrecy_age) <= mc.mean_halfwidth)
+            mean_covers = int(abs(mc.average_secrecy_age - ref.average_secrecy_age) <= mc.mean_halfwidth)
             out_covers = int(abs(mc.outage_probability - out_ref) <= mc.outage_halfwidth)
-        cells = [
+        rows.append([
             p, q, ptx, eta, spec.convention.value, orc and orc.truncation,
             cf and cf.average_secrecy_age, orc and orc.average_secrecy_age, mean_diff,
             mc and mc.average_secrecy_age, mc and mc.mean_halfwidth, mean_covers,
             cf and cf.outage_probability, orc and orc.outage_probability, out_diff,
             mc and mc.outage_probability, mc and mc.outage_halfwidth, out_covers,
             note,
-        ]
-        return cells, failures, mean_covers, out_covers
-
-    results = _evaluate(spec, points, row, OutageConvention.STRICT_DEFINITION)
-    rows = [r[0] for r in results]
-    failures = [msg for r in results for msg in r[1]]
+        ])
     lines: list[str] = []
-    for flags, label in ((2, "mean"), (3, "outage")):
-        observed = [r[flags] for r in results if r[flags] is not None]
+    for label in ("mean", "outage"):
+        column = _COMPARE_HEADER.index(f"{label}_ci_covers")
+        observed = [row[column] for row in rows if row[column] is not None]
         if observed:
             fraction = sum(observed) / len(observed)
             lines.append(f"compare: {label} CI covered {sum(observed)}/{len(observed)} points")
             if fraction < MC_COVERAGE_MIN:
-                failures.append(
-                    f"{label} CI coverage {fraction:.3f} below required {MC_COVERAGE_MIN:g}"
-                )
-    lines.extend(failures)
-    verdict = "PASS" if not failures else "FAIL"
-    lines.append(f"compare: {verdict} over {len(rows)} points (convention={spec.convention.value})")
-    result = SweepResult(_COMPARE_HEADER, rows, "\n".join(lines), 0 if not failures else 1)
-    return _maybe_write(spec, result)
+                failures.append(f"{label} CI coverage {fraction:.3f} below required {MC_COVERAGE_MIN:g}")
+    detail = f" over {len(rows)} points (convention={spec.convention.value})"
+    return _judged(spec, _COMPARE_HEADER, rows, lines, failures, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +660,7 @@ def run_optimize(spec: SweepSpec) -> SweepResult:
         f"optimize: {len(rows)} (q, eta, convention) combinations, grid step {step:g}, "
         f"p probes {list(spec.p_values)}"
     ]
-    lines.extend(failures)
-    verdict = "PASS" if not failures else "FAIL"
-    lines.append(f"optimize: {verdict}")
-    result = SweepResult(header, rows, "\n".join(lines), 0 if not failures else 1)
-    return _maybe_write(spec, result)
+    return _judged(spec, header, rows, lines, failures)
 
 
 RUNNERS: dict[str, Callable[[SweepSpec], SweepResult]] = {

@@ -17,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
@@ -27,7 +28,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import aoi_secrecy
-from aoi_secrecy import sweeps
+from aoi_secrecy import simulate, sweeps
 from aoi_secrecy.analytics import (
     OutageConvention,
     closed_form_report,
@@ -552,7 +553,7 @@ class TestCompareCommand:
         out = tmp_path / "compare.csv"
         code = main(["compare", "--out", str(out), *self.COMMON])
         assert code == 0
-        assert "compare: PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[-1] == "compare: PASS over 2 points (convention=strict)"
         rows = read_csv(out)
         assert len(rows) == 2
         for row in rows:
@@ -609,6 +610,45 @@ class TestCompareCommand:
         argv = ["compare", "--out", str(tmp_path / "c.csv"), "--methods", "closed_form,monte_carlo", *self.CERTAIN]
         assert main(argv) == 1
         assert "outage CI coverage 0.000 below required 0.75" in capsys.readouterr().out
+
+    def test_mean_far_outside_the_interval_fails(self, tmp_path, monkeypatch, capsys):
+        # a closed-form mean raised by 1 sits far outside the Monte Carlo
+        # half-widths here (about 0.1), so no point's mean is covered
+        def raised(*args):
+            report = sweeps._closed_form_leg(*args)
+            return replace(report, average_secrecy_age=report.average_secrecy_age + 1.0)
+
+        monkeypatch.setitem(sweeps._LEGS, "closed_form", raised)
+        out = tmp_path / "raised.csv"
+        argv = ["compare", "--out", str(out), "--methods", "closed_form,monte_carlo", *self.COMMON]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "compare: outage CI covered 2/2 points",
+            "mean CI coverage 0.000 below required 0.75",
+            "compare: FAIL over 2 points (convention=strict)",
+        ]
+        rows = read_csv(out)
+        assert [row["mean_ci_covers"] for row in rows] == ["0", "0"]
+        assert all(float(row["mean_mc_halfwidth"]) < 0.5 for row in rows)
+
+    @pytest.mark.parametrize("methods", ["closed_form,oracle,monte_carlo", "oracle,monte_carlo"])
+    def test_monte_carlo_not_judged_where_the_eavesdropper_never_resets(self, tmp_path, capsys, methods):
+        # at q = 0 no stationary law exists (the reference mean is infinite)
+        # and a window's outage measures a transient, so neither interval is
+        # judged there; the q = 0.3 point still is
+        out = tmp_path / "silent.csv"
+        argv = [
+            "compare", "--out", str(out), "--methods", methods, "--p", "0.5", "--q", "0,0.3",
+            "--ptx", "0.5", "--eta", "5", "--horizon", "10000", "--replications", "4", "--seed", "1",
+        ]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert "compare: mean CI covered 1/1 points" in stdout
+        assert "compare: outage CI covered 1/1 points" in stdout
+        silent, judged = read_csv(out)
+        assert float(silent["q"]) == 0.0 and float(silent["outage_monte_carlo"]) > 0.0
+        assert (silent["mean_ci_covers"], silent["outage_ci_covers"]) == ("", "")
+        assert (judged["mean_ci_covers"], judged["outage_ci_covers"]) == ("1", "1")
 
     def test_unmeetable_mean_tolerance_rejected_before_any_leg(self, monkeypatch):
         # q=0.5 needs N=61 and fits under MAX_TRUNCATION; q=0.01 needs 4273
@@ -699,6 +739,30 @@ class TestOptimizeCommand:
             for row in rows if row["convention"] == "strict"
         }
         assert strict[("0.5", "4")] == pytest.approx(1 / (0.5 * 5), abs=1e-12)
+
+    def test_planted_optimum_error_fails(self, tmp_path, monkeypatch, capsys):
+        # a closed-form maximizer ten grid steps off is reported per
+        # (q, eta, convention), and the run fails
+        monkeypatch.setattr(sweeps, "optimal_ptx", lambda *args: optimal_ptx(*args) - 0.01)
+        code = main(["optimize", "--out", str(tmp_path / "opt.csv"), "--q", "0.2", "--eta", "4", "--p", "0.8"])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "optimize: FAIL"
+        assert [line.split(":")[0] for line in lines[1:-1]] == ["q=0.2 eta=4 paper", "q=0.2 eta=4 strict"]
+        assert all("(gap 1.000e-02 > step 0.001)" in line for line in lines[1:-1])
+
+    def test_argmax_moving_with_p_fails(self, tmp_path, monkeypatch, capsys):
+        # an objective whose maximizer depends on p fails the p probe
+        def moved(params, grid, *args):
+            values = objective_curve(params, grid, *args)
+            return values[::-1] if params.p == 0.3 else values
+
+        monkeypatch.setattr(sweeps, "objective_curve", moved)
+        argv = ["optimize", "--out", str(tmp_path / "opt.csv"), "--q", "0.2", "--eta", "4", "--p", "0.8,0.3"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "optimize: FAIL"
+        assert "q=0.2 eta=4 strict: argmax varies with p: [1.0, 0.001]" in lines
 
     def test_grid_matches_scalar_objective_loop(self):
         # one numpy pass per probe picks the same argmax as scoring each
@@ -948,16 +1012,14 @@ VALID_TEXT = {
     "eta_values": st.integers(1, 20).map(str),
     "horizon": st.integers(1, 10**6).map(str),
     "replications": st.integers(1, 64).map(str),
-    "workers": st.integers(1, 4).map(str),
+    "workers": st.integers(1, 2**70).map(str),
     "optimize_step": st.floats(1e-3, 0.5).map(repr),
 }
 
 
 def _entry(field):
-    other = EDGE_TEXT + JUNK_TEXT
-    if field == "workers":  # at most 4 pool threads: no 0x10, 2**70 or 10**400 workers
-        other = tuple(t for t in other if t not in ("0x10", str(2**70), str(10**400)))
-    return st.one_of(VALID_TEXT[field], st.sampled_from(other))
+    # any worker count is safe to run: the pool is capped at the usable CPUs
+    return st.one_of(VALID_TEXT[field], st.sampled_from(EDGE_TEXT + JUNK_TEXT))
 
 
 @st.composite
@@ -1066,6 +1128,27 @@ class TestDeterminism:
             main([*args, "--out", str(out), "--workers", workers])
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_pool_capped_at_usable_cpus(self, tmp_path, monkeypatch):
+        # a million workers ask the pool for no more threads than there are
+        # points or usable CPUs, and write the one-worker bytes
+        asked = []
+
+        def recording_pool(max_workers):
+            asked.append(max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
+        args = ["compare", "--methods", "closed_form,oracle",
+                "--p", "0.8", "--q", "0.2,0.5", "--ptx", "0.5,1", "--eta", "3"]
+        outputs = []
+        for workers in ("1000000", "1"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main([*args, "--out", str(out), "--workers", workers]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        cap = min(4, simulate._usable_cpus())
+        assert asked == ([cap] if cap > 1 else [])
 
 
 @pytest.mark.parametrize("name, argv", [
