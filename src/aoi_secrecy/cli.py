@@ -58,7 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_out_dir(path: str) -> None:
     """Create the directory of the --out table before any leg runs, so an
     unwritable one, or a directory in the table's place, is refused before
-    the work rather than after it."""
+    the work rather than after it. An empty path, which would write
+    nothing, is refused the same way."""
+    if not path:
+        raise ValueError("--out ([experiment] out) is empty: name the table file to write")
     parent = os.path.dirname(path)
     try:
         os.makedirs(parent or ".", exist_ok=True)

@@ -27,7 +27,6 @@ from .analytics import (
     objective_curve,
     optimal_ptx,
     outage_event,
-    secrecy_gap_pmf,
 )
 from .model import ChannelParams, Policy, SecrecyReport, SecrecyThreshold
 from .oracle import build_truncated_chain, oracle_metrics, steady_state, truncation_for_mean_tol
@@ -449,30 +448,21 @@ def _oracle_truncation(spec: SweepSpec, p: float, q: float, ptx: float) -> Optio
     return max(MIN_TRUNCATION, needed)
 
 
-def _evaluate(
-    spec: SweepSpec, points: Sequence[tuple], measured: OutageConvention | None = None
-) -> list[dict[str, SecrecyReport]]:
+def _evaluate(spec: SweepSpec, points: Sequence[tuple]) -> list[dict[str, SecrecyReport]]:
     """Each point's reports, in grid order: a dict mapping each requested
     method to its SecrecyReport. A point starts (p, q, p_tx, eta or None);
     anything after that is the runner's own. Every oracle truncation is
     settled before any leg runs, so an unmeetable demand costs no work.
-    Each leg gets the outage event index of eta: the closed form that of
-    spec.convention, which is what the printed convention changes, and the
-    oracle and Monte Carlo legs that of `measured` (spec.convention unless
-    given). Monte Carlo seeds from the point's index, so results do not
-    depend on the worker count."""
-    measured = measured or spec.convention
+    Every leg gets the point's one outage event, outage_event(eta,
+    spec.convention). Monte Carlo seeds from the point's index, so results
+    do not depend on the worker count."""
     truncations = [_oracle_truncation(spec, p, q, ptx) for p, q, ptx, *_ in points]
 
     def evaluate(index: int) -> dict[str, SecrecyReport]:
         p, q, ptx, eta = points[index][:4]
         params, policy = ChannelParams(p=p, q=q), Policy(p_tx=ptx)
-        reports = {}
-        for m in spec.methods:
-            convention = spec.convention if m == "closed_form" else measured
-            event = None if eta is None else outage_event(SecrecyThreshold(eta), convention)
-            reports[m] = _LEGS[m](spec, index, params, policy, event, truncations[index])
-        return reports
+        event = None if eta is None else outage_event(SecrecyThreshold(eta), spec.convention)
+        return {m: _LEGS[m](spec, index, params, policy, event, truncations[index]) for m in spec.methods}
 
     return _ordered_map(evaluate, range(len(points)), spec.workers)
 
@@ -514,10 +504,8 @@ def run_fig1_sweep(spec: SweepSpec) -> SweepResult:
 # fig2: objective versus transmit probability, one starred row per curve
 
 def run_fig2_sweep(spec: SweepSpec) -> SweepResult:
-    """Objective curves, one per (p, q, eta). Oracle and Monte Carlo legs
-    evaluate the convention-adjusted threshold event so all method columns
-    estimate the same quantity; the starred row sits at the closed-form
-    optimum."""
+    """Objective curves, one per (p, q, eta), every method column at the
+    convention's event; the starred row sits at the closed-form optimum."""
     points = []  # (p, q, p_tx, eta, starred)
     for p in spec.p_values:
         for q in spec.q_values:
@@ -549,34 +537,24 @@ _COMPARE_HEADER = [
     "mean_monte_carlo", "mean_mc_halfwidth", "mean_ci_covers",
     "outage_closed_form", "outage_oracle", "outage_abs_diff",
     "outage_monte_carlo", "outage_mc_halfwidth", "outage_ci_covers",
-    "outage_note",
 ]
 
 
 def run_compare(spec: SweepSpec) -> SweepResult:
     """Cross-validate the requested methods point by point.
 
-    The oracle and Monte Carlo legs always measure the definitional event
-    Pr(secrecy age <= eta_th). Under the printed convention the closed-form
-    outage is the eta_th - 1 event, so those points are expected to sit one
-    pmf step away; they are marked mismatch_expected and the offset itself is
-    checked, which is a pass, not a failure. A method not requested leaves
-    its cells empty. Exit code 1 on any tolerance or coverage failure.
+    Every method estimates the outage event of spec.convention, so under
+    either label the closed form must meet the oracle and sit inside the
+    Monte Carlo interval. A method not requested leaves its cells empty.
+    Exit code 1 on any tolerance or coverage failure.
     """
     points = list(product(spec.p_values, spec.q_values, spec.ptx_values, spec.eta_values))
     rows: list[list[Any]] = []
     failures: list[str] = []
-    for (p, q, ptx, eta), reports in zip(points, _evaluate(spec, points, OutageConvention.STRICT_DEFINITION)):
+    for (p, q, ptx, eta), reports in zip(points, _evaluate(spec, points)):
         cf, orc, mc = (reports.get(m) for m in METHODS)
         where = f"p={p:g} q={q:g} p_tx={ptx:g} eta={eta}"
         mean_diff = out_diff = mean_covers = out_covers = None
-        note = ""
-        # offset between the labeled closed form and the measured event
-        offset = 0.0
-        if spec.convention is OutageConvention.PAPER_PRINTED:
-            offset = secrecy_gap_pmf(eta, ChannelParams(p=p, q=q), Policy(p_tx=ptx))
-            if cf is not None:
-                note = "mismatch_expected"
         if cf is not None and orc is not None:
             cf_mean, orc_mean = cf.average_secrecy_age, orc.average_secrecy_age
             mean_diff = 0.0 if cf_mean == orc_mean else abs(cf_mean - orc_mean)  # both may be infinite
@@ -584,26 +562,20 @@ def run_compare(spec: SweepSpec) -> SweepResult:
                 failures.append(f"{where}: |mean closed-oracle| = {mean_diff:.3e} > {TOL_MEAN:g}")
             out_diff = abs(orc.outage_probability - cf.outage_probability)
             allowed = TOL_PROB + orc.outage_error_bound
-            if abs(out_diff - offset) > allowed:
-                failures.append(
-                    f"{where}: outage closed-vs-oracle off by {out_diff:.3e}, "
-                    f"expected {offset:.3e} within {allowed:.3e}"
-                )
-        # Monte Carlo against the closed form (its outage shifted by the offset)
-        # or else the oracle; not at q = 0, where no stationary law exists
-        # (the reference mean is infinite) and a window measures a transient
+            if out_diff > allowed:
+                failures.append(f"{where}: outage closed-vs-oracle off by {out_diff:.3e} > {allowed:.3e}")
+        # Monte Carlo against the closed form or else the oracle; not at q = 0, where no
+        # stationary law exists (the reference mean is infinite) and a window measures a transient
         ref = cf or orc
         if mc is not None and math.isfinite(ref.average_secrecy_age):
-            out_ref = ref.outage_probability + (offset if cf is not None else 0.0)
             mean_covers = int(abs(mc.average_secrecy_age - ref.average_secrecy_age) <= mc.mean_halfwidth)
-            out_covers = int(abs(mc.outage_probability - out_ref) <= mc.outage_halfwidth)
+            out_covers = int(abs(mc.outage_probability - ref.outage_probability) <= mc.outage_halfwidth)
         rows.append([
             p, q, ptx, eta, spec.convention.value, orc and orc.truncation,
             cf and cf.average_secrecy_age, orc and orc.average_secrecy_age, mean_diff,
             mc and mc.average_secrecy_age, mc and mc.mean_halfwidth, mean_covers,
             cf and cf.outage_probability, orc and orc.outage_probability, out_diff,
             mc and mc.outage_probability, mc and mc.outage_halfwidth, out_covers,
-            note,
         ])
     lines: list[str] = []
     for label in ("mean", "outage"):

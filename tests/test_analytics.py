@@ -78,6 +78,8 @@ class TestStationaryPi:
                 assert block[i - 1, j - 1] == pytest.approx(
                     stationary_pi(i, j, P, HALF), rel=1e-13, abs=1e-300
                 )
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            stationary_block(P, HALF, 0)
 
     @given(p=probs, q=probs, ptx=tx_probs)
     @settings(max_examples=40)
@@ -248,6 +250,11 @@ class TestObjectiveAndOptimizer:
     def test_optimum_caps_at_one(self):
         assert optimal_ptx(0.1, SecrecyThreshold(2), OutageConvention.PAPER_PRINTED) == 1.0
         assert optimal_ptx(0.0, SecrecyThreshold(50)) == 1.0
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan])
+    def test_optimum_refuses_q_outside_unit_interval(self, q):
+        with pytest.raises(ValueError, match="q must lie in"):
+            optimal_ptx(q, SecrecyThreshold(5))
 
     def test_optimum_matches_grid_argmax(self):
         grid = np.minimum(np.arange(1, 1001) * 1e-3, 1.0)

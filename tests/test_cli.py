@@ -181,8 +181,11 @@ class TestConfigLoading:
          "config section [sim] repeated"),
         ("repeated_key.ini", "[sim]\nhorizon = 5000\nhorizon = 7000\n", "option 'horizon' in section 'sim' already exists"),
         ("repeated_section.ini", "[sim]\nhorizon = 5000\n[sim]\nreplications = 4\n", "section 'sim' already exists"),
+        # a JSON config is an object of sections, each an object of entries
+        ("list_top.json", '[{"sim": {"horizon": 5000}}]', "config JSON must be an object of sections"),
+        ("scalar_section.json", '{"sim": 5000}', "config section 'sim' must hold key/value pairs"),
     ], ids=["default_only", "default_beside_sim", "repeated_key_json", "repeated_section_json",
-            "repeated_key_ini", "repeated_section_ini"])
+            "repeated_key_ini", "repeated_section_ini", "list_top_json", "scalar_section_json"])
     def test_default_section_and_repeats_refused(self, no_leg_runs, tmp_path, capsys, name, text, message):
         path = tmp_path / name
         path.write_text(text)
@@ -501,6 +504,18 @@ class TestFig1Command:
         assert code == 2
         assert f"--out '{out}{message}" in capsys.readouterr().err
 
+    def test_empty_out_refused_before_any_leg(self, no_leg_runs, monkeypatch, tmp_path, capsys):
+        # an empty path would run the whole experiment and then write nothing
+        monkeypatch.setattr(sweeps, "objective_curve", lambda *a: pytest.fail("the objective ran"))
+        path = tmp_path / "empty_out.ini"
+        path.write_text("[experiment]\nout =\n")
+        for argv in (["fig1", "--out", ""], ["optimize", "--config", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                "error: --out ([experiment] out) is empty: name the table file to write"
+            ]
+
 
 class TestFig2Command:
     def test_starred_row_per_curve(self, tmp_path):
@@ -556,23 +571,27 @@ class TestCompareCommand:
         assert capsys.readouterr().out.splitlines()[-1] == "compare: PASS over 2 points (convention=strict)"
         rows = read_csv(out)
         assert len(rows) == 2
+        assert list(rows[0]) == sweeps._COMPARE_HEADER
         for row in rows:
             assert row["convention"] == "strict"
-            assert row["outage_note"] == ""
             assert float(row["mean_abs_diff"]) < 1e-6
             assert float(row["outage_abs_diff"]) < 1e-8
             assert int(row["oracle_truncation"]) == sweeps.MIN_TRUNCATION  # the floor dominates here
 
-    def test_printed_convention_flags_expected_mismatch(self, tmp_path):
-        out = tmp_path / "compare_paper.csv"
-        code = main(["compare", "--out", str(out), "--convention", "paper", *self.COMMON])
-        assert code == 0
-        rows = read_csv(out)
-        assert all(row["outage_note"] == "mismatch_expected" for row in rows)
-        # the labeled closed form and the measured strict event now disagree
-        # by one pmf step, which the runner treats as the expected offset
-        for row in rows:
-            assert float(row["outage_abs_diff"]) > 1e-3
+    def test_printed_convention_judged_at_its_event(self, tmp_path):
+        # under the printed label every method estimates the strict event at
+        # eta - 1: each row is the strict run's row at eta - 1 but for its
+        # eta and label, and closed form meets oracle within the allowance
+        paper, strict = tmp_path / "paper.csv", tmp_path / "strict.csv"
+        assert main(["compare", "--out", str(paper), "--convention", "paper", *self.COMMON]) == 0
+        assert main(["compare", "--out", str(strict), *self.COMMON, "--eta", "4"]) == 0
+        for row, below in zip(read_csv(paper), read_csv(strict), strict=True):
+            assert (row["eta_th"], row["convention"], below["eta_th"]) == ("5", "paper", "4")
+            assert row["outage_oracle"] == below["outage_oracle"]
+            assert {**row, "eta_th": "4", "convention": "strict"} == below
+            params, policy = ChannelParams(float(row["p"]), float(row["q"])), Policy(float(row["p_tx"]))
+            bound = outage_truncation_bound(build_truncated_chain(params, policy, int(row["oracle_truncation"])))
+            assert float(row["outage_abs_diff"]) <= sweeps.TOL_PROB + bound
 
     def test_without_monte_carlo_no_coverage_columns(self, tmp_path):
         out = tmp_path / "compare_two.csv"
@@ -630,6 +649,32 @@ class TestCompareCommand:
         rows = read_csv(out)
         assert [row["mean_ci_covers"] for row in rows] == ["0", "0"]
         assert all(float(row["mean_mc_halfwidth"]) < 0.5 for row in rows)
+
+    # a closed-form mean raised by 1 at some of four points. At this seed the
+    # other points are covered with margin: |z| = 1.96 |mc - closed| /
+    # half-width is at most 0.88 for the mean and 0.97 for the outage, and
+    # every mean half-width is below 0.3, so the planted points are missed
+    # and coverage is the unplanted share: 2/4 fails, 3/4 meets 0.75
+    @pytest.mark.parametrize("planted, code", [((0, 1), 1), ((0,), 0)], ids=["two_of_four", "one_of_four"])
+    def test_coverage_judged_at_its_threshold(self, tmp_path, monkeypatch, capsys, planted, code):
+        def raised(spec, index, *args):
+            report = sweeps._closed_form_leg(spec, index, *args)
+            return replace(report, average_secrecy_age=report.average_secrecy_age + (index in planted))
+
+        monkeypatch.setitem(sweeps._LEGS, "closed_form", raised)
+        out = tmp_path / "planted.csv"
+        argv = [
+            "compare", "--out", str(out), "--methods", "closed_form,monte_carlo", "--p", "0.8", "--q", "0.2,0.5",
+            "--ptx", "0.5,1.0", "--eta", "5", "--horizon", "20000", "--replications", "8", "--seed", "11",
+        ]
+        assert main(argv) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"compare: mean CI covered {4 - len(planted)}/4 points",
+                             "compare: outage CI covered 4/4 points"]
+        assert ("mean CI coverage 0.500 below required 0.75" in lines) == bool(code)
+        rows = read_csv(out)
+        assert [row["mean_ci_covers"] for row in rows] == [str(int(i not in planted)) for i in range(4)]
+        assert all(float(row["mean_mc_halfwidth"]) < 0.3 for row in rows)
 
     @pytest.mark.parametrize("methods", ["closed_form,oracle,monte_carlo", "oracle,monte_carlo"])
     def test_monte_carlo_not_judged_where_the_eavesdropper_never_resets(self, tmp_path, capsys, methods):
@@ -699,8 +744,10 @@ class TestCompareCommand:
     # bound (1 - r_e)^N is about TOL_PROB, so both terms of the allowance count
     OUTAGE_POINT = ["--p", "0.8", "--q", "0.02", "--ptx", "0.5", "--eta", "5"]
 
-    @pytest.mark.parametrize("factor, code", [(2.0, 1), (0.5, 0)])
-    def test_outage_check_at_its_allowance(self, tmp_path, monkeypatch, capsys, factor, code):
+    @pytest.mark.parametrize("convention, factor, code", [
+        ("strict", 2.0, 1), ("strict", 0.5, 0), ("paper", 2.0, 1), ("paper", 0.5, 0),
+    ], ids=["2.0-1", "0.5-0", "paper-2.0-1", "paper-0.5-0"])
+    def test_outage_check_at_its_allowance(self, tmp_path, monkeypatch, capsys, convention, factor, code):
         params, policy = ChannelParams(0.8, 0.02), Policy(0.5)
         spec = make_spec("compare", None, methods=("closed_form", "oracle"))
         n = sweeps._oracle_truncation(spec, 0.8, 0.02, 0.5)
@@ -715,11 +762,12 @@ class TestCompareCommand:
 
         monkeypatch.setitem(sweeps._LEGS, "closed_form", shifted)
         out = tmp_path / "c.csv"
-        argv = ["compare", "--out", str(out), "--methods", "closed_form,oracle", *self.OUTAGE_POINT]
+        argv = ["compare", "--out", str(out), "--methods", "closed_form,oracle", "--convention", convention,
+                *self.OUTAGE_POINT]
         assert main(argv) == code
         (row,) = read_csv(out)
         assert float(row["outage_abs_diff"]) == pytest.approx(factor * allowed, rel=1e-4)
-        failed = [line for line in capsys.readouterr().out.splitlines() if "outage closed-vs-oracle" in line]
+        failed = [line for line in capsys.readouterr().out.splitlines() if "outage closed-vs-oracle off by" in line]
         assert len(failed) == code
 
 
@@ -750,6 +798,17 @@ class TestOptimizeCommand:
         assert lines[-1] == "optimize: FAIL"
         assert [line.split(":")[0] for line in lines[1:-1]] == ["q=0.2 eta=4 paper", "q=0.2 eta=4 strict"]
         assert all("(gap 1.000e-02 > step 0.001)" in line for line in lines[1:-1])
+
+    # at q = 0.5, eta = 4 both optima are grid points, 0.5 (paper) and 0.4
+    # (strict): a closed form two steps off fails, one half a step off passes
+    @pytest.mark.parametrize("steps, code", [(2.0, 1), (0.5, 0)])
+    def test_gap_check_at_one_step(self, tmp_path, monkeypatch, capsys, steps, code):
+        monkeypatch.setattr(sweeps, "optimal_ptx", lambda *args: optimal_ptx(*args) + steps * 1e-3)
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--out", str(out), "--q", "0.5", "--eta", "4"]) == code
+        assert [float(row["ptx_star_grid"]) for row in read_csv(out)] == pytest.approx([0.5, 0.4], abs=1e-12)
+        failed = [line for line in capsys.readouterr().out.splitlines() if "(gap " in line]
+        assert len(failed) == 2 * code
 
     def test_argmax_moving_with_p_fails(self, tmp_path, monkeypatch, capsys):
         # an objective whose maximizer depends on p fails the p probe
@@ -804,10 +863,13 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_grid_value(self, capsys):
+    def test_bad_grid_value(self, no_leg_runs, capsys):
         code = main(["fig1", "--q", "1.5", "--ptx", "0.5", "--ratio", "1"])
         assert code == 2
         assert "out of range" in capsys.readouterr().err
+        # a ratio of 0 would tabulate p = 0 points
+        assert main(["fig1", "--ratio", "2,0"]) == 2
+        assert "error: ratio grid values must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--p", "--q", "--ptx"])
     def test_rate_below_floor_refused(self, no_leg_runs, capsys, flag):
