@@ -46,7 +46,6 @@ from .simulate import (
 )
 from .sweeps import (
     SweepSpec,
-    default_spec,
     make_spec,
     run_compare,
     run_fig1_sweep,
@@ -74,7 +73,6 @@ __all__ = [
     "average_secrecy_age",
     "build_truncated_chain",
     "closed_form_report",
-    "default_spec",
     "estimate",
     "make_spec",
     "objective",

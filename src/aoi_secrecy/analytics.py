@@ -45,7 +45,7 @@ def stationary_block(params: ChannelParams, policy: Policy, n: int) -> np.ndarra
         raise ValueError("n must be >= 1")
     p, q, ptx = params.p, params.q, policy.p_tx
     rate_d, rate_e = ptx * p, ptx * q
-    stay = ptx * (1.0 - p) * (1.0 - q) + 1.0 - ptx  # no reset in a slot
+    stay = ptx * (1 - p) * (1 - q) + 1 - ptx  # no reset in a slot
     idx = np.arange(n)
     gap = idx[None, :] - idx[:, None]  # j - i
     stay_pow = np.power(stay, np.minimum(idx[:, None], idx[None, :]))
@@ -54,8 +54,8 @@ def stationary_block(params: ChannelParams, policy: Policy, n: int) -> np.ndarra
         ptx * p * q * stay_pow,
         np.where(
             gap < 0,
-            rate_d * ptx * (1.0 - p) * q * np.power(1.0 - rate_d, np.maximum(-gap - 1, 0)) * stay_pow,
-            rate_e * ptx * (1.0 - q) * p * np.power(1.0 - rate_e, np.maximum(gap - 1, 0)) * stay_pow,
+            rate_d * ptx * (1 - p) * q * np.power(1 - rate_d, np.maximum(-gap - 1, 0)) * stay_pow,
+            rate_e * ptx * (1 - q) * p * np.power(1 - rate_e, np.maximum(gap - 1, 0)) * stay_pow,
         ),
     )
     return block
@@ -81,7 +81,7 @@ def secrecy_gap_pmf(d: int, params: ChannelParams, policy: Policy) -> float:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     denom = _gap_denominator(params)
     p, q, ptx = params.p, params.q, policy.p_tx
-    return ptx * q * p * (1.0 - q) * (1.0 - ptx * q) ** (d - 1) / denom
+    return ptx * q * p * (1 - q) * (1 - ptx * q) ** (d - 1) / denom
 
 
 def average_secrecy_age(params: ChannelParams, policy: Policy) -> float:
@@ -94,7 +94,7 @@ def average_secrecy_age(params: ChannelParams, policy: Policy) -> float:
     if params.q == 0.0:
         return math.inf
     p, q, ptx = params.p, params.q, policy.p_tx
-    return p * (1.0 - q) / (ptx * q * denom)
+    return p * (1 - q) / (ptx * q * denom)
 
 
 def _outage_from_exponent(k: int, params: ChannelParams, ptx: float | np.ndarray) -> float | np.ndarray:
@@ -106,8 +106,8 @@ def _outage_from_exponent(k: int, params: ChannelParams, ptx: float | np.ndarray
     """
     denom = _gap_denominator(params)
     p, q = params.p, params.q
-    tail = p * (1.0 - q) * (1.0 - ptx * q) ** k / denom
-    return 1.0 - tail
+    tail = p * (1 - q) * (1 - ptx * q) ** k / denom
+    return 1 - tail
 
 
 def outage_probability(
@@ -139,7 +139,7 @@ def objective(
     convention: OutageConvention = DEFAULT_CONVENTION,
 ) -> float:
     """Throughput-style score p_tx * (1 - P_out) traded off by the policy."""
-    return policy.p_tx * (1.0 - outage_probability(params, policy, threshold, convention))
+    return policy.p_tx * (1 - outage_probability(params, policy, threshold, convention))
 
 
 def objective_curve(
@@ -158,7 +158,7 @@ def objective_curve(
     if ptx.size and not (ptx.min() > 0.0 and ptx.max() <= 1.0):
         raise ValueError("p_tx values must lie in (0, 1]")
     k = outage_event(threshold, convention)
-    return ptx * (1.0 - _outage_from_exponent(k, params, ptx))
+    return ptx * (1 - _outage_from_exponent(k, params, ptx))
 
 
 def optimal_ptx(

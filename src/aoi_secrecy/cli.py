@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands fig1 / fig2 / compare / optimize run the corresponding sweep.
-Settings come from defaults, then an optional config file (--config, INI
-sections or the JSON equivalent), then flags; flags win. A subcommand takes
-only the settings its experiment reads. Each run writes one
-CSV table and prints a plain-text summary; the exit status is 0 only when
-every check the experiment performs passed.
+Each subcommand runs the experiment of its name; its help line and built-in
+values are that experiment's entry in the sweeps table. Settings come from
+the built-in values, then an optional config file (--config, INI sections or
+the JSON equivalent), then flags; flags win. A subcommand takes only the
+settings its experiment reads. Each run writes one CSV table and prints a
+plain-text summary; the exit status is 0 only when every check the
+experiment performs passed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
 
 from .oracle import StationarityError
-from .sweeps import EXPERIMENTS, RUNNERS, SETTINGS, load_config, make_spec
+from .sweeps import _EXPERIMENTS, RUNNERS, SETTINGS, load_config, make_spec
 
 
 def _flag_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -38,16 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Secrecy-age experiments: closed forms, truncated-chain oracle, Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    help_by_kind = {
-        "fig1": "average secrecy age versus the p/q ratio",
-        "fig2": "objective p_tx (1 - P_out) versus the transmit probability",
-        "compare": "cross-validate closed form, oracle and Monte Carlo on a grid",
-        "optimize": "closed-form optimal p_tx versus a fine grid search",
-    }
     # a subcommand offers only the flags its experiment reads; abbreviations
-    # are off so fig1 cannot take --p as a prefix of --ptx
-    for kind in EXPERIMENTS:
-        cmd = sub.add_parser(kind, help=help_by_kind[kind], allow_abbrev=False)
+    # are off so a subcommand without --p cannot take it as a prefix of --ptx
+    for kind, (help_line, _) in _EXPERIMENTS.items():
+        cmd = sub.add_parser(kind, help=help_line, allow_abbrev=False)
         cmd.add_argument("--config", help="INI or JSON settings file")
         for setting in SETTINGS:
             if kind in setting.experiments:

@@ -55,11 +55,10 @@ class TruncatedChain:
     States are (i, j), 1 <= i, j <= N. The one-slot law moves all mass by
     the four outcomes of model.transition_distribution; increments that
     would pass N saturate. p_both/p_only_e/p_only_d/p_neither are the four
-    outcome masses read off that law.
+    outcome masses read off that law, and all the chain holds besides N:
+    no solve can reach p, q or p_tx.
     """
 
-    params: ChannelParams
-    policy: Policy
     truncation: int
     p_both: float
     p_only_e: float
@@ -152,8 +151,6 @@ def build_truncated_chain(params: ChannelParams, policy: Policy, truncation: int
     for succ, prob in transition_distribution(probe, params, policy):
         masses[(succ.delta_d, succ.delta_e)] = prob
     return TruncatedChain(
-        params=params,
-        policy=policy,
         truncation=truncation,
         p_both=masses[(1, 1)],
         p_only_e=masses[(3, 1)],

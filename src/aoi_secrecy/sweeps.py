@@ -14,7 +14,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Any, Callable, Optional, Sequence
 
@@ -69,34 +69,34 @@ MIN_OPTIMIZE_STEP = 1e-6
 # float range the closed forms' q (eta + 1) and (1 - p_tx q) ** eta overflow
 MAX_ETA = 10**10
 
-# experiment -> its built-in values where they differ from the SweepSpec
-# default: grids spanning the usual plotting ranges, and compare's three
-# methods. Which settings an experiment reads is SETTINGS' `experiments`
-# column, not this table.
-_EXPERIMENTS: dict[str, dict[str, Any]] = {
-    "fig1": {
+# experiment -> its subcommand's help line, and its built-in values where
+# they differ from the SweepSpec default: grids spanning the usual plotting
+# ranges, and compare's three methods. Which settings an experiment reads is
+# SETTINGS' `experiments` column, not this table.
+_EXPERIMENTS: dict[str, tuple[str, dict[str, Any]]] = {
+    "fig1": ("average secrecy age versus the p/q ratio", {
         "q_values": (0.1, 0.2, 0.3),
         "ptx_values": (0.5, 1.0),
         "ratio_values": tuple(float(r) for r in range(1, 9)),
-    },
-    "fig2": {
+    }),
+    "fig2": ("objective p_tx (1 - P_out) versus the transmit probability", {
         "q_values": (0.2, 0.4),
         "eta_values": (5, 10),
         "ptx_values": tuple(round(0.05 * k, 2) for k in range(1, 21)),
         "p_values": (0.8,),
-    },
-    "compare": {
+    }),
+    "compare": ("cross-validate closed form, oracle and Monte Carlo on a grid", {
         "methods": METHODS,
         "p_values": (0.3, 0.8),
         "q_values": (0.2, 0.5),
         "ptx_values": (0.5, 1.0),
         "eta_values": (5,),
-    },
-    "optimize": {
+    }),
+    "optimize": ("closed-form optimal p_tx versus a fine grid search", {
         "q_values": (0.1, 0.2, 0.3, 0.5),
         "eta_values": (2, 4, 5, 8),
         "p_values": (0.3, 0.8),
-    },
+    }),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -189,11 +189,6 @@ class SweepSpec:
                 f"optimize_step {self.optimize_step:g} is below {MIN_OPTIMIZE_STEP:g} "
                 f"({round(1.0 / self.optimize_step)} grid points per probe)"
             )
-
-
-def default_spec(experiment: str) -> SweepSpec:
-    """Built-in grids spanning the usual plotting ranges."""
-    return SweepSpec(experiment=experiment, **_EXPERIMENTS.get(experiment, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +335,17 @@ def load_config(path: str) -> dict[str, Any]:
 
 
 def make_spec(experiment: str, config: dict[str, Any] | None = None, **cli_overrides: Any) -> SweepSpec:
-    """defaults <- config file <- CLI flags; SweepSpec checks the result."""
-    merged: dict[str, Any] = {}
-    if config:
-        merged.update(config)
+    """built-in values <- config file <- CLI flags; SweepSpec checks the
+    result. make_spec(kind) alone is the experiment's built-in spec."""
+    # an unknown kind has no built-in values, and SweepSpec refuses it
+    merged = {**_EXPERIMENTS.get(experiment, ("", {}))[1], **(config or {})}
     for key, value in cli_overrides.items():
         if value is not None:
             merged[key] = value
     kind = merged.pop("experiment", experiment)
     if kind != experiment:
         raise ValueError(f"config is for experiment {kind!r}, not {experiment!r}")
-    return replace(default_spec(experiment), **merged)
+    return SweepSpec(experiment=experiment, **merged)
 
 
 # ---------------------------------------------------------------------------

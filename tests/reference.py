@@ -2,10 +2,11 @@
 
 Closed forms of the stationary law, written out from p, q and p_tx; the
 truncated chain's exact clamp masses, a power iteration of its operator,
-a per-state sparse twin of that operator with a sparse linear solve, and
-a positive gap law summed one np.trace call per diagonal; and a scalar
-sample_slot walk with the expansion of the vectorized walk's event and
-reset lists into ages.
+its moves listed state by state from transition_distribution, and from
+those a sparse twin of the operator with a sparse linear solve and an
+exact solve over Fractions; a positive gap law summed one np.trace call
+per diagonal; and a scalar sample_slot walk with the expansion of the
+vectorized walk's event and reset lists into ages.
 
 None of this is called by the package. Nothing here reads analytics, so a
 closed form checked against a reference here is not checked against
@@ -14,6 +15,7 @@ itself.
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity
@@ -31,14 +33,14 @@ def stationary_pi(i, j, params, policy):
     geometrically in that side's survival probability.
     """
     p, q, ptx = params.p, params.q, policy.p_tx
-    stay = ptx * (1.0 - p) * (1.0 - q) + 1.0 - ptx  # no reset in a slot
+    stay = ptx * (1 - p) * (1 - q) + 1 - ptx  # no reset in a slot
     if i == j:
         return ptx * p * q * stay ** (i - 1)
     if i > j:
-        head = ptx * p * ptx * (1.0 - p) * q
-        return head * (1.0 - ptx * p) ** (i - j - 1) * stay ** (j - 1)
-    head = ptx * q * ptx * (1.0 - q) * p
-    return head * (1.0 - ptx * q) ** (j - i - 1) * stay ** (i - 1)
+        head = ptx * p * ptx * (1 - p) * q
+        return head * (1 - ptx * p) ** (i - j - 1) * stay ** (j - 1)
+    head = ptx * q * ptx * (1 - q) * p
+    return head * (1 - ptx * q) ** (j - i - 1) * stay ** (i - 1)
 
 
 def row_sum(i, params, policy):
@@ -59,15 +61,11 @@ def positive_gap_mass(params, policy):
     return p * (1.0 - q) / (p + q - p * q)
 
 
-def stationary_tail_bounds(chain):
-    """Exact stationary clamp masses (Pr(delta_d >= N), Pr(delta_e >= N))
-    of a truncated chain: the infinite chain's geometric age tails."""
-    n = chain.truncation
-    ptx = chain.policy.p_tx
-    return (
-        (1.0 - ptx * chain.params.p) ** (n - 1),
-        (1.0 - ptx * chain.params.q) ** (n - 1),
-    )
+def stationary_tail_bounds(params, policy, n):
+    """Exact stationary clamp masses (Pr(delta_d >= n), Pr(delta_e >= n))
+    of the chain truncated at n: the infinite chain's geometric age tails."""
+    ptx = policy.p_tx
+    return (1 - ptx * params.p) ** (n - 1), (1 - ptx * params.q) ** (n - 1)
 
 
 class NoConvergence(RuntimeError):
@@ -99,38 +97,60 @@ def power_iteration(chain, tol=1e-12, max_iters=None):
     raise NoConvergence(residual, budget, tol)
 
 
-def to_sparse(chain):
-    """CSR matrix of the chain's operator, built state by state from
-    transition_distribution. Quadratic in N; meant for cross-checks."""
-    n = chain.truncation
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+def clamped_transitions(params, policy, n):
+    """(src, dst, mass) for every move of the chain clamped at n, state by
+    state from transition_distribution; state (i, j) is index (i-1) n + (j-1).
+    Masses keep their number type: Fraction inputs give exact masses."""
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            src = (i - 1) * n + (j - 1)
-            acc: dict[int, float] = {}
-            for succ, prob in transition_distribution(AgeState(i, j), chain.params, chain.policy):
-                di = min(succ.delta_d, n)  # saturating clamp
-                dj = min(succ.delta_e, n)
-                dst = (di - 1) * n + (dj - 1)
-                acc[dst] = acc.get(dst, 0.0) + prob
+            acc = {}
+            for succ, prob in transition_distribution(AgeState(i, j), params, policy):
+                dst = (min(succ.delta_d, n) - 1) * n + min(succ.delta_e, n) - 1  # saturating clamp
+                acc[dst] = acc.get(dst, 0) + prob
             for dst, prob in acc.items():
-                rows.append(src)
-                cols.append(dst)
-                vals.append(prob)
+                yield (i - 1) * n + j - 1, dst, prob
+
+
+def to_sparse(params, policy, n):
+    """CSR matrix of the chain's operator, clamped at n. Quadratic in n;
+    meant for cross-checks."""
+    rows, cols, vals = zip(*clamped_transitions(params, policy, n))
     return csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
 
 
-def sparse_law(chain):
+def sparse_law(params, policy, n):
     """Reference solve: the stationary law of to_sparse() by a sparse linear
     solve, the normalisation replacing one (redundant) balance equation."""
-    n = chain.truncation
-    system = (to_sparse(chain).T - identity(n * n)).tolil()
+    system = (to_sparse(params, policy, n).T - identity(n * n)).tolil()
     system[0, :] = 1.0
     rhs = np.zeros(n * n)
     rhs[0] = 1.0
     return spsolve(system.tocsc(), rhs).reshape(n, n)
+
+
+def exact_law(params, policy, n):
+    """The stationary law of the chain clamped at n, solved exactly over
+    Fractions (p, q and p_tx should be Fractions too): the balance equations
+    of clamped_transitions, the normalisation replacing the first one,
+    eliminated by Gauss-Jordan. Returns law[i-1][j-1] for state (i, j)."""
+    size = n * n
+    # row k: the balance equation at state k, then its right-hand side
+    system = [[Fraction(0)] * (size + 1) for _ in range(size)]
+    for src, dst, prob in clamped_transitions(params, policy, n):
+        system[dst][src] += prob
+    for k in range(size):
+        system[k][k] -= 1
+    system[0] = [Fraction(1)] * (size + 1)
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if system[r][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        lead = system[col][col]
+        system[col] = [v / lead for v in system[col]]
+        for r in range(size):
+            factor = system[r][col]
+            if r != col and factor != 0:
+                system[r] = [v - factor * w for v, w in zip(system[r], system[col])]
+    return [[system[i * n + j][-1] for j in range(n)] for i in range(n)]
 
 
 def trace_gap_pmf(state):

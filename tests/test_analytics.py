@@ -9,6 +9,7 @@ marginals, the positive gap mass) live in reference.py.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,3 +323,34 @@ class TestClosedFormReport:
     def test_negative_event_rejected(self):
         with pytest.raises(ValueError, match="event index"):
             closed_form_report(P, HALF, -1)
+
+
+# two points over Fractions with their metrics derived by hand:
+# (p, q, p_tx), mean, {d: gap pmf}, {strict eta: outage}
+EXACT_POINTS = [
+    # p + q - pq = 5/8; mean (3/8) / (1/16 * 5/8); pmf(1) = (3/64) / (5/8),
+    # pmf(3) = pmf(1) (7/8)^2; outage 1 - (3/8)(7/8)^2 / (5/8) at eta 2
+    ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 2)), Fraction(24, 5),
+     {1: Fraction(3, 40), 3: Fraction(147, 2560)}, {2: Fraction(173, 320)}),
+    # p + q - pq = 1; mean (2/3) / (1/4); pmf(2) = (1/6)(3/4);
+    # outage 1 - (2/3)(3/4) at eta 1
+    ((Fraction(1), Fraction(1, 3), Fraction(3, 4)), Fraction(8, 3),
+     {2: Fraction(1, 8)}, {1: Fraction(1, 2)}),
+]
+
+
+@pytest.mark.parametrize("point, mean, pmf, outage", EXACT_POINTS)
+def test_closed_forms_exact_over_rationals(point, mean, pmf, outage):
+    # 1 - q, not 1.0 - q: Fraction inputs give Fraction outputs, exactly
+    # the hand-derived values; for floats the two spellings round alike
+    p, q, ptx = point
+    params, policy = ChannelParams(p, q), Policy(ptx)
+    got = [average_secrecy_age(params, policy), *(secrecy_gap_pmf(d, params, policy) for d in pmf)]
+    assert all(type(value) is Fraction for value in got)
+    assert got == [mean, *pmf.values()]
+    for eta, expected in outage.items():
+        strict = outage_probability(params, policy, SecrecyThreshold(eta), OutageConvention.STRICT_DEFINITION)
+        paper = outage_probability(params, policy, SecrecyThreshold(eta + 1), OutageConvention.PAPER_PRINTED)
+        assert type(strict) is Fraction and strict == expected
+        # the paper outage at eta + 1 is the strict outage at eta, exactly
+        assert type(paper) is Fraction and paper == strict

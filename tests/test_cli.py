@@ -50,7 +50,6 @@ from aoi_secrecy.sweeps import (
     SETTINGS,
     SweepSpec,
     _fmt,
-    default_spec,
     load_config,
     make_spec,
     run_compare,
@@ -252,6 +251,20 @@ SAMPLE_VALUES = {
 }
 
 
+# each experiment's built-in values, written out: what make_spec(kind)
+# gives with no config file and no flags
+BUILT_IN = {
+    "fig1": dict(q_values=(0.1, 0.2, 0.3), ptx_values=(0.5, 1.0),
+                 ratio_values=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)),
+    "fig2": dict(q_values=(0.2, 0.4), eta_values=(5, 10), p_values=(0.8,),
+                 ptx_values=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
+                             0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)),
+    "compare": dict(methods=("closed_form", "oracle", "monte_carlo"), p_values=(0.3, 0.8),
+                    q_values=(0.2, 0.5), ptx_values=(0.5, 1.0), eta_values=(5,)),
+    "optimize": dict(q_values=(0.1, 0.2, 0.3, 0.5), eta_values=(2, 4, 5, 8), p_values=(0.3, 0.8)),
+}
+
+
 class TestSettingsTable:
     def test_every_spec_field_has_one_row(self):
         rows = [s.field for s in SETTINGS]
@@ -259,13 +272,16 @@ class TestSettingsTable:
         assert sorted(rows) == sorted(SAMPLE_VALUES)
 
     @pytest.mark.parametrize("fmt", ["ini", "json"])
-    @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.field)
+    @pytest.mark.parametrize("setting", [*SETTINGS, None], ids=lambda s: getattr(s, "field", "built_in"))
     def test_config_key_and_flag_agree(self, tmp_path, setting, fmt):
-        value = SAMPLE_VALUES[setting.field]
-        entries = {setting.section: {setting.key: value}}
-        argv = [setting.flag, value]
+        # None: an empty config file and no flags, on every experiment
+        if setting is None:
+            kinds, entries, argv = EXPERIMENTS, {}, []
+        else:
+            kinds, value = setting.experiments, SAMPLE_VALUES[setting.field]
+            entries, argv = {setting.section: {setting.key: value}}, [setting.flag, value]
         # a simulation setting is read only beside a monte_carlo leg
-        if setting.field in sweeps._MONTE_CARLO_ONLY:
+        if setting is not None and setting.field in sweeps._MONTE_CARLO_ONLY:
             entries.setdefault("experiment", {})["methods"] = "closed_form, monte_carlo"
             argv += ["--methods", "closed_form, monte_carlo"]
         path = tmp_path / f"one.{fmt}"
@@ -276,14 +292,17 @@ class TestSettingsTable:
             ))
         else:
             path.write_text(json.dumps(entries))
-        # on every experiment that reads the setting
-        for kind in setting.experiments:
+        # on every experiment that reads the setting (every one for None)
+        for kind in kinds:
             from_config = make_spec(kind, load_config(str(path)))
             flags = vars(build_parser().parse_args([kind, *argv]))
             del flags["experiment"], flags["config"]
             from_flag = make_spec(kind, None, **flags)
             assert from_config == from_flag
-            assert from_config != default_spec(kind)
+            if setting is None:
+                assert from_config == make_spec(kind) == SweepSpec(experiment=kind, **BUILT_IN[kind])
+            else:
+                assert from_config != make_spec(kind)
 
     @pytest.mark.parametrize(
         "kind, setting",
@@ -305,7 +324,7 @@ class TestSettingsTable:
         assert named in capsys.readouterr().err
         # and so is a library spec that sets it
         with pytest.raises(ValueError) as err:
-            replace(default_spec(kind), **{setting.field: setting.parse(value)})
+            replace(make_spec(kind), **{setting.field: setting.parse(value)})
         assert named in str(err.value)
 
     @pytest.mark.parametrize(
@@ -327,7 +346,7 @@ class TestSettingsTable:
             assert main(argv) == 2
             assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [named]
         with pytest.raises(ValueError, match="without monte_carlo"):
-            replace(default_spec(kind), methods=tuple(methods.split(",")), **{setting.field: setting.parse(value)})
+            replace(make_spec(kind), methods=tuple(methods.split(",")), **{setting.field: setting.parse(value)})
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--methods", "monte_carlo", "--ptx", "0.3", "--workers", "9", "--seed", "5",
@@ -367,6 +386,19 @@ class TestSettingsTable:
         }
         assert keys == {"--config": "", **{s.flag: f"`[{s.section}] {s.key}`" for s in SETTINGS}}
 
+    def test_experiments_listed_once(self):
+        # each subcommand's help line is its entry in the sweeps table;
+        # cli.py names no experiment, and make_spec(kind) is the one way to
+        # build a built-in spec
+        table = {kind: help_line for kind, (help_line, _) in sweeps._EXPERIMENTS.items()}
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert {action.dest: action.help for action in sub._choices_actions} == table
+        assert EXPERIMENTS == tuple(table) == ("fig1", "fig2", "compare", "optimize")
+        source = Path(aoi_secrecy.cli.__file__).read_text(encoding="utf-8")
+        assert not re.findall(rf"\b(?:{'|'.join(EXPERIMENTS)})\b", source)
+        assert not [line for line in table.values() if line in source]
+        assert not hasattr(aoi_secrecy, "default_spec") and not hasattr(sweeps, "default_spec")
+
     def test_public_surface_is_called_or_kept(self):
         # an export is called by the package outside its own definition,
         # read by the benchmark, or named in README's kept-on-purpose sentence
@@ -397,8 +429,8 @@ class TestSpecValidation:
 
     def test_grid_ranges(self):
         with pytest.raises(ValueError):
-            default_spec("nope")
-        base = default_spec("compare")
+            make_spec("nope")
+        base = make_spec("compare")
         with pytest.raises(ValueError):
             SweepSpec(experiment="compare", methods=base.methods, p_values=(1.5,),
                       q_values=(0.2,), ptx_values=(0.5,), eta_values=(5,))
@@ -826,7 +858,7 @@ class TestOptimizeCommand:
     def test_grid_matches_scalar_objective_loop(self):
         # one numpy pass per probe picks the same argmax as scoring each
         # p_tx with the scalar objective, so every row is identical
-        spec = default_spec("optimize")
+        spec = make_spec("optimize")
         step = spec.optimize_step
         grid = np.minimum(np.arange(1, int(round(1 / step)) + 1, dtype=float) * step, 1.0)
         expected = []
@@ -848,7 +880,7 @@ class TestOptimizeCommand:
         # grid-sized arrays (measured 30.5 MB against an 8 MB grid); scoring
         # the two p probes as one 2-D array measured 56 MB
         spec = replace(
-            default_spec("optimize"), optimize_step=sweeps.MIN_OPTIMIZE_STEP,
+            make_spec("optimize"), optimize_step=sweeps.MIN_OPTIMIZE_STEP,
             q_values=(0.2,), eta_values=(5,), p_values=(0.3, 0.8),
         )
         grid_bytes = 8 * int(round(1 / sweeps.MIN_OPTIMIZE_STEP))

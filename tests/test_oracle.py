@@ -6,13 +6,15 @@ cross-route checks. Two operator implementations exist on purpose (the
 structured apply() and the per-state sparse matrix of reference.to_sparse);
 they are compared here and must stay independent. The direct stationary
 solve is checked against two references in reference.py: power iteration
-of apply() and a sparse linear solve of to_sparse().
+of apply() and a sparse linear solve of to_sparse(); and, for N <= 6,
+against the exact law solved over Fractions by reference.exact_law.
 """
 
 import ast
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -34,6 +36,7 @@ from aoi_secrecy.model import ChannelParams, Policy, SecrecyThreshold, transitio
 from aoi_secrecy.oracle import (
     BLOCK_CELLS,
     StationarityError,
+    TruncatedChain,
     build_truncated_chain,
     gap_pmf_array,
     mean_truncation_bound,
@@ -47,10 +50,12 @@ from aoi_secrecy.sweeps import MAX_TRUNCATION, TOL_MEAN, TOL_PROB
 from reference import (
     NoConvergence,
     col_sum,
+    exact_law,
     positive_gap_mass,
     power_iteration,
     row_sum,
     sparse_law,
+    stationary_pi,
     stationary_tail_bounds,
     to_sparse,
     trace_gap_pmf,
@@ -102,6 +107,11 @@ class TestChainConstruction:
         assert chain.reset_rate_d == pytest.approx(0.5 * 0.8, abs=1e-15)
         assert chain.reset_rate_e == pytest.approx(0.5 * 0.2, abs=1e-15)
 
+    def test_chain_holds_only_the_outcome_masses(self):
+        # N and the four one-slot masses: no solve can read p, q or p_tx
+        names = [field.name for field in dataclasses.fields(TruncatedChain)]
+        assert names == ["truncation", "p_both", "p_only_e", "p_only_d", "p_neither"]
+
     def test_truncation_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             build_truncated_chain(P, HALF, 1)
@@ -109,8 +119,7 @@ class TestChainConstruction:
             build_truncated_chain(P, HALF, 40.0)
 
     def test_stationary_tail_bounds_formula(self):
-        chain = build_truncated_chain(SLOW, HALF, 80)
-        tail_d, tail_e = stationary_tail_bounds(chain)
+        tail_d, tail_e = stationary_tail_bounds(SLOW, HALF, 80)
         assert tail_d == pytest.approx((1 - 0.15) ** 79, rel=1e-12)
         assert tail_e == pytest.approx((1 - 0.05) ** 79, rel=1e-12)
 
@@ -118,13 +127,11 @@ class TestChainConstruction:
 class TestOperator:
     def test_sparse_rows_are_stochastic(self):
         for p, q, ptx in PARAM_DRAWS:
-            chain = build_truncated_chain(ChannelParams(p, q), Policy(ptx), 12)
-            sums = np.asarray(to_sparse(chain).sum(axis=1)).ravel()
+            sums = np.asarray(to_sparse(ChannelParams(p, q), Policy(ptx), 12).sum(axis=1)).ravel()
             assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_sparse_collapses_under_certain_delivery(self):
-        chain = build_truncated_chain(ChannelParams(1.0, 1.0), Policy(1.0), 2)
-        dense = to_sparse(chain).toarray()
+        dense = to_sparse(ChannelParams(1.0, 1.0), Policy(1.0), 2).toarray()
         expected = np.zeros((4, 4))
         expected[:, 0] = 1.0  # every state jumps to (1, 1)
         assert np.array_equal(dense, expected)
@@ -132,10 +139,10 @@ class TestOperator:
     def test_apply_matches_sparse_matvec(self):
         n = 25
         for k, (p, q, ptx) in enumerate(PARAM_DRAWS):
-            chain = build_truncated_chain(ChannelParams(p, q), Policy(ptx), n)
+            params, policy = ChannelParams(p, q), Policy(ptx)
             dist = random_dist(n, seed=100 + k)
-            via_apply = chain.apply(dist)
-            flat = to_sparse(chain).T.dot(dist.reshape(-1))
+            via_apply = build_truncated_chain(params, policy, n).apply(dist)
+            flat = to_sparse(params, policy, n).T.dot(dist.reshape(-1))
             assert np.max(np.abs(via_apply - flat.reshape(n, n))) < 1e-14
 
     def test_apply_conserves_mass(self):
@@ -223,9 +230,10 @@ class TestSteadyState:
         # power iteration at N = 200, where the slow case still sits mostly
         # off the clamp; the sparse solve at N = 40, where the clamp holds
         # nearly half its mass
-        for n, reference in ((200, lambda c: power_iteration(c)[0]), (40, sparse_law)):
+        for n in (200, 40):
             st = steady_state(build_truncated_chain(params, policy, n))
-            assert np.max(np.abs(st.pi - reference(st.chain))) <= 1e-12
+            reference = power_iteration(st.chain)[0] if n == 200 else sparse_law(params, policy, n)
+            assert np.max(np.abs(st.pi - reference)) <= 1e-12
             assert np.all(st.pi >= 0.0)
             assert st.residual <= 1e-12
             assert st.iterations == 1
@@ -311,7 +319,7 @@ class TestSteadyState:
 
     def test_boundary_masses_match_exact_tail(self):
         st = steady_state(build_truncated_chain(SLOW, HALF, 80))
-        tail_d, tail_e = stationary_tail_bounds(st.chain)
+        tail_d, tail_e = stationary_tail_bounds(SLOW, HALF, 80)
         # the clamped row delta_d = N and column delta_e = N
         assert st.pi[-1, :].sum() == pytest.approx(tail_d, rel=1e-9)
         assert st.pi[:, -1].sum() == pytest.approx(tail_e, rel=1e-9)
@@ -452,6 +460,39 @@ class TestClosedFormAgreement:
         for convention in OutageConvention:
             measured = oracle_metrics(state, outage_event(threshold, convention)).outage_probability
             assert abs(measured - outage_probability(params, policy, threshold, convention)) <= slack
+
+
+# small-denominator rationals in [0, 1], 0 and 1 included
+rationals = strategies.fractions(min_value=0, max_value=1, max_denominator=8)
+# |steady_state - exact law| entrywise, in units of N * float64 eps. Over
+# all 58,190 draws this test can make (p, q, p_tx with denominator <= 8,
+# N = 2..6) the largest is 1.31, at p = 1/5, q = 0, p_tx = 1/5, N = 6;
+# the float route also rounds p, q and p_tx
+EXACT_LAW_ULPS = 1.5
+
+
+class TestExactCertificate:
+    # derandomized and bounded so it fits the tier-1 budget (about 2 s)
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(p=rationals, q=rationals, ptx=rationals.filter(lambda f: f > 0), n=strategies.integers(2, 6))
+    @example(p=Fraction(0), q=Fraction(0), ptx=Fraction(1), n=6)
+    @example(p=Fraction(1), q=Fraction(1), ptx=Fraction(1), n=6)
+    @example(p=Fraction(1), q=Fraction(0), ptx=Fraction(1, 8), n=6)
+    def test_clamped_chain_solved_exactly(self, p, q, ptx, n):
+        # the clamped chain solved over Fractions from transition_distribution
+        # alone: its interior is the infinite chain's law, and its last row
+        # and column hold exactly the geometric age tails
+        params, policy = ChannelParams(p, q), Policy(ptx)
+        law = exact_law(params, policy, n)
+        interior = [[stationary_pi(i, j, params, policy) for j in range(1, n)] for i in range(1, n)]
+        assert [row[:-1] for row in law[:-1]] == interior
+        clamped = (sum(law[-1]), sum(row[-1] for row in law))
+        assert clamped == stationary_tail_bounds(params, policy, n)
+        assert all(type(mass) is Fraction for mass in (*clamped, *interior[0]))
+        # the oracle's float law, from the rounded rates, within a few N eps
+        pi = steady_state(build_truncated_chain(ChannelParams(float(p), float(q)), Policy(float(ptx)), n)).pi
+        error = max(abs(Fraction(pi[i, j]) - law[i][j]) for i in range(n) for j in range(n))
+        assert error <= Fraction(EXACT_LAW_ULPS) * n * Fraction(np.finfo(float).eps)
 
 
 def assert_gap_law_bits(params, policy, n, event):
